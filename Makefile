@@ -19,13 +19,13 @@ vet:
 
 # Build the repo's vettool and run the oblivcheck suite (obliviousness,
 # determinism, hint hygiene, data-obliviousness, speculation safety) over
-# every package.  See DESIGN.md §9.
+# every package.  See DESIGN.md §8.
 oblivcheck:
 	$(GO) build -o bin/oblivcheck ./cmd/oblivcheck
 	$(GO) vet -vettool=$(CURDIR)/bin/oblivcheck ./...
 
 # Trace-equality gate, the dynamic half of the data-obliviousness
-# enforcement (DESIGN.md §9): every kernel in an //oblivcheck:dataoblivious
+# enforcement (DESIGN.md §8): every kernel in an //oblivcheck:dataoblivious
 # package must produce an identical memory-access trace on two different
 # random inputs of the same shape, the value-dependent kernels (sort,
 # listrank) must not, and an injected secret-dependent branch must be
@@ -43,15 +43,13 @@ lint: vet oblivcheck
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration pass over the E-series benches, serial then under each
-# parallel backend and their composition: a cheap crash/divergence gate
-# (OBLIVHM_PARALLEL / OBLIVHM_PARALLEL_ROUNDS make benchMO verify the
-# parallel metrics against an untimed serial reference), not a timing run.
+# One-iteration pass over the E-series benches, serial then under parallel
+# rounds: a cheap crash/divergence gate (OBLIVHM_PARALLEL_ROUNDS makes
+# benchMO verify the parallel metrics against an untimed serial
+# reference), not a timing run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
-	OBLIVHM_PARALLEL=4 $(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
 	OBLIVHM_PARALLEL_ROUNDS=4 $(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
-	OBLIVHM_PARALLEL_ROUNDS=4 OBLIVHM_PARALLEL=4 $(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'RoundLoop' -benchtime 1x .
 
 # Regenerate the paper's Table I / Table II / ablation measurements
@@ -94,12 +92,11 @@ cover:
 race:
 	$(GO) test -race ./internal/core/... ./internal/harness/... ./internal/sweep ./cmd/tables
 
-# Race-check both parallel backends end to end: stream-level machine
-# equivalence, engine-level schedule equivalence (replay pipeline AND the
-# phase-split parallel-rounds engine, DESIGN.md §8/§11), and the harness
+# Race-check the parallel-rounds backend end to end: engine-level schedule
+# equivalence of the phase-split engine (DESIGN.md §10) and the harness
 # golden matrix + chaos sweep, all with real worker threads underneath.
 race-parallel:
-	$(GO) test -race -run 'Parallel' ./internal/hm ./internal/core ./internal/harness
+	$(GO) test -race -run 'Parallel' ./internal/core ./internal/harness
 
 # Failure-injection gate: the seeded kill/straggler/cache-fault suite and
 # the 16-seed failure sweep over the golden matrix under the race detector,
@@ -129,16 +126,16 @@ fuzz:
 
 # Flame-graph starting point for perf work: profile a representative
 # simulated run.  Override PROFILE_ARGS for other workloads, e.g.
-# PROFILE_ARGS="-algo mm -machine mc3 -n 16384 -parallel 4 -repeat 5".
+# PROFILE_ARGS="-algo mm -machine mc3 -n 16384 -parallel-rounds 4 -repeat 5".
 PROFILE_ARGS ?= -algo sort -machine hm4 -n 8192 -repeat 10
 profile:
 	$(GO) run ./cmd/hmsim $(PROFILE_ARGS) -cpuprofile cpu.out -memprofile mem.out
 	@echo "inspect with: $(GO) tool pprof -top cpu.out   (or -http=:8080)"
 
-# Re-measure the scheduler residue (DESIGN.md §11, BENCH_PR*.json): serial
+# Re-measure the scheduler residue (DESIGN.md §10, BENCH_PR*.json): serial
 # cpuprofiles of the five workloads the bench records track, then the
 # cumulative share of core.(*engine).loop from each — the fraction of the
-# run that stays serial under the composed parallel backends.
+# run that stays serial under parallel rounds.
 profile-rounds:
 	@mkdir -p bin
 	$(GO) build -o bin/hmsim ./cmd/hmsim

@@ -3,7 +3,7 @@
 // hinthygiene, dataoblivious, specsafe) over every package, enforcing the
 // paper's obliviousness boundary, the engine's determinism contract, the
 // data-obliviousness of annotated kernels and the speculation-safety rule
-// of DESIGN.md §11 at vet time.
+// of DESIGN.md §10 at vet time.
 //
 // It speaks cmd/go's vettool protocol directly — the same JSON unit-config
 // exchange golang.org/x/tools' unitchecker implements — using only the

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// SpecSafe encodes DESIGN.md §11's serialize rule as a static check over
+// SpecSafe encodes DESIGN.md §10's serialize rule as a static check over
 // internal/core: every read of scheduler state reachable from speculative
 // context must be dominated by a c.serialize() call.
 //
@@ -671,5 +671,5 @@ func (w *specWalker) checkSelector(sel *ast.SelectorExpr) {
 	}
 	w.a.reported[sel.Sel.Pos()] = true
 	w.a.pass.Reportf(sel.Sel.Pos(),
-		"scheduler state %s.%s read while possibly speculating: dominate it with c.serialize(), or guard the speculative side with st.spec (DESIGN.md §11)", typeName, field)
+		"scheduler state %s.%s read while possibly speculating: dominate it with c.serialize(), or guard the speculative side with st.spec (DESIGN.md §10)", typeName, field)
 }

@@ -1,6 +1,6 @@
 // Package specfix exercises the specsafe analyzer: scheduler-state reads
 // reachable from speculative context must be dominated by c.serialize()
-// (DESIGN.md §11).  The types mirror internal/core's shape; the package
+// (DESIGN.md §10).  The types mirror internal/core's shape; the package
 // lives under the core path so the analyzer's scope predicate fires.
 package specfix
 

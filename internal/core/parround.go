@@ -1,6 +1,6 @@
 package core
 
-// Parallel round execution (DESIGN.md §11): run the per-core strand work of
+// Parallel round execution (DESIGN.md §10): run the per-core strand work of
 // many lockstep rounds on real OS threads at once, while keeping the
 // schedule and every frozen observable byte-identical to the serial engine.
 //
@@ -68,9 +68,8 @@ package core
 //     as the serial loop, and each replayed turn performs the same queue
 //     transitions the serial turn would.
 //   - Cache counters: chunks are flushed in (round, core) order — the
-//     serial interleaving — and each flush either walks the hierarchy
-//     in-line or bulk-feeds the PR 4 replay pipeline, which is itself
-//     byte-identical by the stream-equivalence argument of DESIGN.md §8.
+//     serial interleaving — and each flush walks the hierarchy in-line, so
+//     every cache consumes exactly its serial input sequence.
 //     A speculator resumed live continues feeding the same stream from the
 //     exact point its recording stopped, within the same turn.
 //   - Clock and trace: speculative rounds emit no events (pure work never
@@ -125,9 +124,8 @@ const prEpochRounds = 64
 // commit phase replays the recorded rounds in the exact serial order.  The
 // schedule and every frozen observable — Steps, per-cache miss counters,
 // placements, steals, the trace stream — are byte-identical to the serial
-// default.  Composes with WithParallel (the recorded access chunks feed the
-// replay pipeline directly).  Chaos, invariant-checked and reference runs
-// stay fully serial.  workers <= 0 selects GOMAXPROCS.
+// default.  Chaos, invariant-checked and reference runs stay fully serial.
+// workers <= 0 selects GOMAXPROCS.
 func WithParallelRounds(workers int) Opt {
 	return func(s *Session) {
 		if s.eng != nil {

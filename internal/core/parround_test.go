@@ -4,11 +4,10 @@ package core
 // full runs on identical machines, serial vs phase-split, must agree on
 // every observable the determinism contract freezes — Steps, the complete
 // machine snapshot, placements, steals and the heap contents — alone, under
-// every scheduler option, composed with the WithParallel replay pipeline,
-// and on the failure path.  These run under -race in CI: the speculation
-// phase is the only place the engine lets several strands execute at the
-// same real instant, so the race detector doubles as a proof that the
-// fan-in really has no shared mutable state.
+// every scheduler option, and on the failure path.  These run under -race
+// in CI: the speculation phase is the only place the engine lets several
+// strands execute at the same real instant, so the race detector doubles as
+// a proof that the fan-in really has no shared mutable state.
 
 import (
 	"errors"
@@ -17,6 +16,31 @@ import (
 
 	"oblivhm/internal/hm"
 )
+
+// mixedWorkload is a representative engine shape: binary SB recursion
+// with PFor leaves over a shared array, enough strands to keep several
+// cores busy.
+func mixedWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(1 << 12)
+	var rec func(c *Ctx, lo, hi int64, space int64)
+	rec = func(c *Ctx, lo, hi, space int64) {
+		if hi-lo <= 1<<8 {
+			c.PFor(int(hi-lo), 1, func(cc *Ctx, i0, i1 int) {
+				for i := i0; i < i1; i++ {
+					a := v.Base + Addr(lo+int64(i))
+					cc.StoreI(a, cc.LoadI(a)+lo+int64(i))
+				}
+			})
+			return
+		}
+		mid := (lo + hi) / 2
+		c.SpawnSB(
+			Task{Space: space / 2, Fn: func(cc *Ctx) { rec(cc, lo, mid, space/2) }},
+			Task{Space: space / 2, Fn: func(cc *Ctx) { rec(cc, mid, hi, space/2) }},
+		)
+	}
+	return func(c *Ctx) { rec(c, 0, 1<<12, 1<<14) }
+}
 
 // tickHeavyWorkload runs long pure stretches (ticks + array walks) between
 // rare forks — the best case for speculation, where epochs should span many
@@ -90,22 +114,19 @@ func pforHeavyWorkload(s *Session) func(*Ctx) {
 
 func parRoundWorkloads() map[string]func(*Session) func(*Ctx) {
 	return map[string]func(*Session) func(*Ctx){
-		"mixed": parallelWorkload,
+		"mixed": mixedWorkload,
 		"tick":  tickHeavyWorkload,
 		"fork":  forkHeavyWorkload,
 		"pfor":  pforHeavyWorkload,
 	}
 }
 
-func checkParRoundsEquiv(t *testing.T, name string, cfg hm.Config, opts []Opt, workload func(*Session) func(*Ctx), composed bool) {
+func checkParRoundsEquiv(t *testing.T, name string, cfg hm.Config, opts []Opt, workload func(*Session) func(*Ctx)) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
 		serial := runEquiv(cfg, 1<<15, opts, workload, false)
 		for _, w := range []int{2, 4, 8} {
 			popts := append(append([]Opt{}, opts...), WithParallelRounds(w))
-			if composed {
-				popts = append(popts, WithParallel(w))
-			}
 			par := runEquiv(cfg, 1<<15, popts, workload, false)
 			if !reflect.DeepEqual(serial, par) {
 				t.Errorf("workers=%d diverged from serial:\nserial   %+v\nparallel %+v", w, serial, par)
@@ -119,23 +140,11 @@ func checkParRoundsEquiv(t *testing.T, name string, cfg hm.Config, opts []Opt, w
 func TestParallelRoundsMatchSerial(t *testing.T) {
 	for mname, cfg := range equivMachines() {
 		for wname, wl := range parRoundWorkloads() {
-			checkParRoundsEquiv(t, mname+"/"+wname, cfg, nil, wl, false)
+			checkParRoundsEquiv(t, mname+"/"+wname, cfg, nil, wl)
 		}
-		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, parallelWorkload, false)
-		checkParRoundsEquiv(t, mname+"/flat", cfg, []Opt{WithFlatScheduler()}, parallelWorkload, false)
-		checkParRoundsEquiv(t, mname+"/q8", cfg, []Opt{WithQuantum(8)}, parallelWorkload, false)
-	}
-}
-
-// TestParallelRoundsComposed: WithParallelRounds + WithParallel — recorded
-// chunks bulk-feed the replay pipeline, and everything must still match the
-// fully serial run.
-func TestParallelRoundsComposed(t *testing.T) {
-	for mname, cfg := range equivMachines() {
-		for wname, wl := range parRoundWorkloads() {
-			checkParRoundsEquiv(t, mname+"/"+wname, cfg, nil, wl, true)
-		}
-		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, parallelWorkload, true)
+		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, mixedWorkload)
+		checkParRoundsEquiv(t, mname+"/flat", cfg, []Opt{WithFlatScheduler()}, mixedWorkload)
+		checkParRoundsEquiv(t, mname+"/q8", cfg, []Opt{WithQuantum(8)}, mixedWorkload)
 	}
 }
 
@@ -152,15 +161,9 @@ func TestParallelRoundsMatchReference(t *testing.T) {
 			t.Run(mname+"/"+wname, func(t *testing.T) {
 				ref := runEquiv(cfg, 1<<15, nil, wl, true)
 				for _, w := range []int{2, 4, 8} {
-					for _, composed := range []bool{false, true} {
-						popts := []Opt{WithParallelRounds(w)}
-						if composed {
-							popts = append(popts, WithParallel(w))
-						}
-						par := runEquiv(cfg, 1<<15, popts, wl, false)
-						if !reflect.DeepEqual(ref, par) {
-							t.Errorf("workers=%d composed=%v diverged from reference:\nreference %+v\nparallel  %+v", w, composed, ref, par)
-						}
+					par := runEquiv(cfg, 1<<15, []Opt{WithParallelRounds(w)}, wl, false)
+					if !reflect.DeepEqual(ref, par) {
+						t.Errorf("workers=%d diverged from reference:\nreference %+v\nparallel  %+v", w, ref, par)
 					}
 				}
 			})
@@ -230,8 +233,8 @@ func TestParallelRoundsSpecFail(t *testing.T) {
 func TestParallelRoundsUnderChaos(t *testing.T) {
 	cfg := hm.HM4(4, 4)
 	for seed := int64(1); seed <= 4; seed++ {
-		serial := runEquiv(cfg, 1<<15, []Opt{WithChaos(seed)}, parallelWorkload, false)
-		par := runEquiv(cfg, 1<<15, []Opt{WithChaos(seed), WithParallelRounds(4)}, parallelWorkload, false)
+		serial := runEquiv(cfg, 1<<15, []Opt{WithChaos(seed)}, mixedWorkload, false)
+		par := runEquiv(cfg, 1<<15, []Opt{WithChaos(seed), WithParallelRounds(4)}, mixedWorkload, false)
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("seed %d: chaos schedule diverged under WithParallelRounds", seed)
 		}
@@ -242,8 +245,8 @@ func TestParallelRoundsUnderChaos(t *testing.T) {
 // state must reset completely between runs.
 func TestParallelRoundsRepeatedRuns(t *testing.T) {
 	m := hm.MustMachine(hm.MC3(8))
-	s := NewSim(m, WithParallelRounds(4), WithParallel(2))
-	root := parallelWorkload(s)
+	s := NewSim(m, WithParallelRounds(4))
+	root := mixedWorkload(s)
 	first := s.RunCold(1<<15, root)
 	for i := 0; i < 3; i++ {
 		again := s.RunCold(1<<15, root)
@@ -309,8 +312,8 @@ func TestParallelRoundsWorkerCaps(t *testing.T) {
 	if s.eng.prWorkers < 1 {
 		t.Errorf("workers=0 should resolve to GOMAXPROCS, got %d", s.eng.prWorkers)
 	}
-	serial := runEquiv(hm.MC3(8), 1<<15, nil, parallelWorkload, false)
-	one := runEquiv(hm.MC3(8), 1<<15, []Opt{WithParallelRounds(1)}, parallelWorkload, false)
+	serial := runEquiv(hm.MC3(8), 1<<15, nil, mixedWorkload, false)
+	one := runEquiv(hm.MC3(8), 1<<15, []Opt{WithParallelRounds(1)}, mixedWorkload, false)
 	if !reflect.DeepEqual(serial, one) {
 		t.Errorf("workers=1 must run the serial path unchanged")
 	}

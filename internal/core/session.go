@@ -73,22 +73,6 @@ func WithFlatScheduler() Opt {
 	}
 }
 
-// WithParallel enables the parallel cache-replay backend on a simulated
-// session: the scheduler and the algorithm code stay on the calling
-// goroutine — so the frozen determinism contract holds by construction —
-// while the cache-hierarchy simulation, the dominant cost of a run, streams
-// to a pool of replay workers sharded by cache subtree plus an in-order
-// chain worker for the shared upper levels (DESIGN.md §8).  Every metric
-// (Steps, per-level miss counts, placements, steals, chaos streams) is
-// byte-identical to the serial default.  workers <= 0 selects GOMAXPROCS.
-func WithParallel(workers int) Opt {
-	return func(s *Session) {
-		if s.mach != nil {
-			s.mach.EnableParallelReplay(workers)
-		}
-	}
-}
-
 // NewSim creates a session executing on the simulated HM machine m.
 func NewSim(m *hm.Machine, opts ...Opt) *Session {
 	s := &Session{mach: m}
@@ -159,10 +143,6 @@ func (s *Session) TryRun(space int64, root func(*Ctx)) (RunStats, error) {
 	}
 	s.mach.ResetStats()
 	err := s.eng.run(space, root)
-	// Parallel replay (WithParallel) drains and parks its worker pool at the
-	// end of every run — success or failure — so sessions need no Close and
-	// a harness can create thousands without leaking goroutines.
-	s.mach.StopReplay()
 	if err != nil {
 		return RunStats{}, err
 	}

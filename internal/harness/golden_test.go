@@ -126,8 +126,12 @@ func measure(t *testing.T, machine string, gc goldenCase) goldenMetrics {
 	if err != nil {
 		t.Fatalf("%s on %s: %v", gc.key(), machine, err)
 	}
-	m := goldenMetrics{Steps: res.Steps, PlacedAt: res.PlacedAt, Steals: res.Steals}
-	for _, l := range res.Levels {
+	return metricsTuple(res)
+}
+
+func metricsTuple(r MOResult) goldenMetrics {
+	m := goldenMetrics{Steps: r.Steps, PlacedAt: r.PlacedAt, Steals: r.Steals}
+	for _, l := range r.Levels {
 		m.MaxMisses = append(m.MaxMisses, l.MaxMisses)
 	}
 	return m

@@ -1,9 +1,8 @@
 package harness
 
-// Parallel-rounds-vs-serial equivalence at the harness level, mirroring
-// parallel_test.go for the phase-split engine backend (DESIGN.md §11): the
-// full golden algo × machine matrix re-run under core.WithParallelRounds —
-// alone and composed with the core.WithParallel replay pipeline — must
+// Parallel-rounds-vs-serial equivalence at the harness level for the
+// phase-split engine backend (DESIGN.md §10): the full golden
+// algo × machine matrix re-run under core.WithParallelRounds must
 // reproduce the serial metric tuple byte for byte at every worker count,
 // and the 16-seed chaos sweep must reproduce the serial chaos schedules
 // (chaos runs serialize the whole loop, so this pins the documented
@@ -23,17 +22,14 @@ import (
 	"oblivhm/internal/core"
 )
 
-// measureParRounds is measure() with WithParallelRounds(workers) appended,
-// plus WithParallel(workers) when composed is set.
-func measureParRounds(t *testing.T, machine string, gc goldenCase, workers int, composed bool) goldenMetrics {
+var parallelWorkerCounts = []int{2, 4, 8}
+
+// measureParRounds is measure() with WithParallelRounds(workers) appended.
+func measureParRounds(t *testing.T, machine string, gc goldenCase, workers int) goldenMetrics {
 	t.Helper()
-	opts := append(gc.opts(), core.WithParallelRounds(workers))
-	if composed {
-		opts = append(opts, core.WithParallel(workers))
-	}
-	res, err := RunMO(gc.Algo, machine, gc.N, opts...)
+	res, err := RunMO(gc.Algo, machine, gc.N, append(gc.opts(), core.WithParallelRounds(workers))...)
 	if err != nil {
-		t.Fatalf("%s on %s (pr workers=%d composed=%v): %v", gc.key(), machine, workers, composed, err)
+		t.Fatalf("%s on %s (pr workers=%d): %v", gc.key(), machine, workers, err)
 	}
 	return metricsTuple(res)
 }
@@ -51,9 +47,8 @@ var forkHeavyPair = struct {
 }{"hm5", goldenCase{Algo: "fft", N: 1 << 8, Opt: "q8"}}
 
 // TestParallelRoundsMatchSerialGoldenMatrix: the full golden suite at every
-// worker count, parallel-rounds alone and composed with the replay
-// pipeline, plus the fork-heavy pair.  In -short mode each case keeps one
-// rotating worker count.
+// worker count, plus the fork-heavy pair.  In -short mode each case keeps
+// one rotating worker count.
 func TestParallelRoundsMatchSerialGoldenMatrix(t *testing.T) {
 	suite := goldenSuite()
 	suite[forkHeavyPair.machine] = append(suite[forkHeavyPair.machine], forkHeavyPair.gc)
@@ -74,18 +69,30 @@ func TestParallelRoundsMatchSerialGoldenMatrix(t *testing.T) {
 					workers = parallelWorkerCounts[i%len(parallelWorkerCounts) : i%len(parallelWorkerCounts)+1]
 				}
 				for _, w := range workers {
-					if pr := measureParRounds(t, machine, gc, w, false); !reflect.DeepEqual(serial, pr) {
+					if pr := measureParRounds(t, machine, gc, w); !reflect.DeepEqual(serial, pr) {
 						t.Errorf("%s pr workers=%d diverged from serial:\n  serial          %+v\n  parallel-rounds %+v",
-							gc.key(), w, serial, pr)
-					}
-					if pr := measureParRounds(t, machine, gc, w, true); !reflect.DeepEqual(serial, pr) {
-						t.Errorf("%s pr+par workers=%d diverged from serial:\n  serial   %+v\n  composed %+v",
 							gc.key(), w, serial, pr)
 					}
 				}
 			}
 		})
 	}
+}
+
+// parallelChaosPairs covers all five machine shapes with sizes small enough
+// that the 16-seed × worker-count sweep stays cheap.
+var parallelChaosPairs = []struct {
+	machine string
+	gc      goldenCase
+}{
+	{"mc3", goldenCase{Algo: "sort", N: 1 << 7}},
+	{"mc3", goldenCase{Algo: "scan", N: 1 << 10}},
+	{"mc3a", goldenCase{Algo: "fft", N: 1 << 7}},
+	{"hm4", goldenCase{Algo: "mm", N: 1 << 8}},
+	{"hm4", goldenCase{Algo: "sort", N: 1 << 7, Opt: "steal"}},
+	{"hm4", goldenCase{Algo: "mt", N: 1 << 8, Opt: "q8"}},
+	{"hm5", goldenCase{Algo: "lr", N: 1 << 6}},
+	{"seq", goldenCase{Algo: "fft", N: 1 << 7}},
 }
 
 // TestParallelRoundsChaosSweepMatchesSerial: for every machine-shape pair
@@ -139,7 +146,7 @@ func TestParallelRoundsOptionSets(t *testing.T) {
 		t.Fatalf("default: %v", err)
 	}
 	want := metricsTuple(base)
-	for _, name := range []string{"pr2", "pr4", "pr2par2", "pr4par4"} {
+	for _, name := range []string{"pr2", "pr4"} {
 		res, err := Run(RunConfig{Algo: "sort", Machine: "mc3", N: 1 << 7, Options: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

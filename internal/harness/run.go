@@ -28,18 +28,16 @@ type RunConfig struct {
 // optionSets are the named engine-option bundles an experiment can select.
 // The names are part of the determinism contract surface: golden snapshots
 // (golden_test.go), sweep specs and CHANGES-visible CLIs all refer to
-// schedules by these names, so entries are append-only.
+// schedules by these names, so a name is removed only together with the
+// engine backend it selects — and an old spec naming it then fails to parse
+// rather than running a different schedule.
 var optionSets = map[string]func() []core.Opt{
 	"default": func() []core.Opt { return nil },
 	"steal":   func() []core.Opt { return []core.Opt{core.WithStealing()} },
 	"flat":    func() []core.Opt { return []core.Opt{core.WithFlatScheduler()} },
 	"q8":      func() []core.Opt { return []core.Opt{core.WithQuantum(8)} },
-	"par2":    func() []core.Opt { return []core.Opt{core.WithParallel(2)} },
-	"par4":    func() []core.Opt { return []core.Opt{core.WithParallel(4)} },
 	"pr2":     func() []core.Opt { return []core.Opt{core.WithParallelRounds(2)} },
 	"pr4":     func() []core.Opt { return []core.Opt{core.WithParallelRounds(4)} },
-	"pr2par2": func() []core.Opt { return []core.Opt{core.WithParallelRounds(2), core.WithParallel(2)} },
-	"pr4par4": func() []core.Opt { return []core.Opt{core.WithParallelRounds(4), core.WithParallel(4)} },
 	"pr4steal": func() []core.Opt {
 		return []core.Opt{core.WithParallelRounds(4), core.WithStealing()}
 	},

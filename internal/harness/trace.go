@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the dynamic half of the data-obliviousness enforcement
-// (DESIGN.md §9): the static `dataoblivious` analyzer proves the absence of
+// (DESIGN.md §8): the static `dataoblivious` analyzer proves the absence of
 // secret-dependent branches and indexing in annotated packages, and the
 // trace-equality harness checks the property it implies at runtime — the
 // memory access trace of a data-oblivious kernel is a function of the input
@@ -35,8 +35,10 @@ func (r TraceResult) String() string {
 
 // TraceMO runs the named workload cold on the named machine with inputs
 // drawn from the given data seed, capturing the access stream.  Trace
-// capture is serial-order only, so no engine options are accepted: the run
-// uses the default serial backend.
+// capture is serial-order only — a parallel-rounds speculative phase issues
+// accesses in thread-timing order, and hm.StartTrace refuses to begin while
+// one is active — so no engine options are accepted: the run uses the
+// default serial engine.
 func TraceMO(algo, machine string, n int, seed int64) (TraceResult, error) {
 	cfg, err := Machine(machine)
 	if err != nil {

@@ -1,7 +1,7 @@
 package harness
 
 // Trace-equality tests: the dynamic cross-check of the static
-// `dataoblivious` verdicts (DESIGN.md §9).  Three directions are gated:
+// `dataoblivious` verdicts (DESIGN.md §8).  Three directions are gated:
 //
 //  1. every kernel in an //oblivcheck:dataoblivious-annotated package is
 //     trace-equal across data seeds (the annotation is dynamically true),
@@ -139,12 +139,15 @@ func TestTraceCatchesInjectedLeak(t *testing.T) {
 	}
 }
 
+// TestStartTraceRefusesParallelBackend: while a parallel-rounds fan-in is
+// active, accesses are issued in thread-timing order, so trace capture must
+// refuse to start.
 func TestStartTraceRefusesParallelBackend(t *testing.T) {
 	m := hm.MustMachine(hm.Presets()["hm4"])
-	core.NewSim(m, core.WithParallel(2))
+	m.StartRoundFanIn()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("StartTrace on a parallel-replay machine should panic")
+			t.Fatal("StartTrace during an active fan-in should panic")
 		}
 	}()
 	m.StartTrace()

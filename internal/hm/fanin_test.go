@@ -8,19 +8,44 @@ package hm
 // FlushFanChunk; a second machine of the same preset consumes the same
 // stream in that serial interleaving directly.  Every cache must end with
 // byte-identical stats and residency, and the access counters must agree,
-// across the serial flush branch, the zero-copy epoch dispatch into the
-// replay pipeline, the epoched per-chunk fallback, and partial rounds.
+// across bulk round ranges, core subsets and partial rounds.
 
 import (
-	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
+
+const parTestHeap = 1 << 15
+
+// compareMachines asserts per-cache equality of stats and residency plus the
+// aggregate snapshot.
+func compareMachines(t *testing.T, serial, fan *Machine, tag string) {
+	t.Helper()
+	ss, fs := serial.Stats(), fan.Stats()
+	for i, level := range serial.ByLevel {
+		for j, c := range level {
+			fc := fan.ByLevel[i][j]
+			if c.Stats != fc.Stats {
+				t.Errorf("%s: L%d[%d] stats diverge:\n  serial %+v\n  fan-in %+v", tag, i+1, j, c.Stats, fc.Stats)
+			}
+			if c.resident != fc.resident {
+				t.Errorf("%s: L%d[%d] residency diverges: serial %d, fan-in %d", tag, i+1, j, c.resident, fc.resident)
+			}
+		}
+	}
+	if serial.Accesses != fan.Accesses {
+		t.Errorf("%s: access counts diverge: serial %d, fan-in %d", tag, serial.Accesses, fan.Accesses)
+	}
+	if !reflect.DeepEqual(ss, fs) {
+		t.Errorf("%s: snapshots diverge:\n  serial %+v\n  fan-in %+v", tag, ss, fs)
+	}
+}
 
 // fanAcc is one planned access: writes stay inside the issuing core's own
 // region (the engine's fork-join race-freedom contract), loads roam across
 // all regions plus a shared hot range so coherent presets see real
-// invalidation traffic through the write side-lists.
+// invalidation traffic.
 type fanAcc struct {
 	a     Addr
 	write bool
@@ -56,8 +81,7 @@ func planFanPhase(rng *rand.Rand, cores []int, ncores, rounds, perRound int) [][
 // driveFanPhase records the plan into fan's fan-in buffers (per core, in
 // round order, marking completed rounds), replays the serial interleaving
 // into serial directly, then flushes fan's buffers: one bulk range
-// [0, bulkHi), a second bulk range [bulkHi, rounds) — which on a pipeline
-// machine exercises the epoched per-chunk fallback — and finally the
+// [0, bulkHi), a second bulk range [bulkHi, rounds), and finally the
 // per-core partial chunks.
 func driveFanPhase(t *testing.T, serial, fan *Machine, plan [][][]fanAcc, cores []int, bulkHi int) {
 	t.Helper()
@@ -98,8 +122,7 @@ func driveFanPhase(t *testing.T, serial, fan *Machine, plan [][][]fanAcc, cores 
 	}
 }
 
-// TestFlushFanRoundsSerialWalk pins the pipeline-free branch of
-// FlushFanRounds: bulk ranges walk the cache hierarchy in-line in
+// TestFlushFanRoundsSerialWalk pins FlushFanRounds: bulk ranges walk the cache hierarchy in-line in
 // (round, core) order, including a core subset and trailing partial rounds.
 func TestFlushFanRoundsSerialWalk(t *testing.T) {
 	for _, cfg := range []Config{MC3(8), HM4(4, 4)} {
@@ -123,44 +146,5 @@ func TestFlushFanRoundsSerialWalk(t *testing.T) {
 			}
 			compareMachines(t, serial, fan, cfg.Name)
 		})
-	}
-}
-
-// TestParallelFanEpochDispatch pins the zero-copy epoch dispatch into the
-// replay pipeline: the first bulk range of each phase loans the fan arrays
-// out as a single epoch batch, the second bulk range of the same phase must
-// take the per-chunk fallback, partial rounds flush through the ordinary
-// bulk-append path, and running more phases than parMaxEpochBatches forces
-// batch recycling plus the loaned-array swap in StartRoundFanIn.  Coherent
-// presets route the recorded write side-lists through the shard
-// invalidation walk.
-func TestParallelFanEpochDispatch(t *testing.T) {
-	for name, cfg := range Presets() {
-		for _, workers := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
-				serial, fan := MustMachine(cfg), MustMachine(cfg)
-				serial.Alloc(parTestHeap)
-				fan.Alloc(parTestHeap)
-				fan.EnableParallelReplay(workers)
-				defer fan.StopReplay()
-				rng := rand.New(rand.NewSource(11))
-				cores := make([]int, fan.Cores())
-				for i := range cores {
-					cores[i] = i
-				}
-				phases := 3 * parMaxEpochBatches // forces epoch batch reuse
-				for phase := 0; phase < phases; phase++ {
-					plan := planFanPhase(rng, cores, fan.Cores(), 10, 32)
-					driveFanPhase(t, serial, fan, plan, cores, 7)
-					if phase == phases/2 {
-						// Mid-run drain: Stats syncs the pipeline while the
-						// current arrays are still loaned out, so the next
-						// StartRoundFanIn must swap in reclaimed ones.
-						compareMachines(t, serial, fan, fmt.Sprintf("%s mid-run", name))
-					}
-				}
-				compareMachines(t, serial, fan, name)
-			})
-		}
 	}
 }

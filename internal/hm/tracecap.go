@@ -2,7 +2,7 @@ package hm
 
 // Trace capture: a rolling chained digest over the machine's (core, addr,
 // write) access stream, in issue order.  The data-obliviousness harness
-// (internal/harness, DESIGN.md §9) runs an annotated algorithm twice on
+// (internal/harness, DESIGN.md §8) runs an annotated algorithm twice on
 // different random data of identical shape and requires the two digests to
 // match — the dynamic ground truth behind the static `dataoblivious`
 // analyzer.  The digest is O(1) state regardless of trace length: each
@@ -10,12 +10,11 @@ package hm
 // billion-access run costs two multiplies per access and no memory.
 //
 // Capture records at Load/Store issue time, which is the deterministic
-// serial program order only under the serial backend: the parallel replay
-// pipeline reorders nothing at issue time (it records in program order too),
-// but the parallel-rounds backend issues speculative per-core streams whose
-// interleaving is thread-timing dependent.  StartTrace therefore refuses a
-// machine wired for parallel replay, and the harness keeps trace runs on
-// the default serial engine.
+// serial program order only while fan-in is off: during a parallel-rounds
+// speculative phase, strands issue per-core streams whose interleaving is
+// thread-timing dependent.  StartTrace therefore refuses a machine with an
+// active fan-in, and the harness keeps trace runs on the default serial
+// engine.
 
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -60,11 +59,11 @@ type TraceDigest struct {
 // StartTrace begins capturing the access stream into a fresh digest.  Peek
 // and Poke bypass capture the same way they bypass the cache model: input
 // initialisation and output verification are not part of the measured trace.
-// Panics if the machine is wired for the parallel replay or parallel-rounds
-// backends, whose issue order is not the serial program order.
+// Panics while a parallel-rounds fan-in is active, whose issue order is not
+// the serial program order.
 func (m *Machine) StartTrace() {
-	if m.par != nil || (m.fan != nil && m.fan.on) {
-		panic("hm: StartTrace on a machine with a parallel backend; trace capture is serial-order only")
+	if m.fan != nil && m.fan.on {
+		panic("hm: StartTrace during a parallel-rounds fan-in; trace capture is serial-order only")
 	}
 	m.trace = &traceCap{hash: fnvOffset64}
 }

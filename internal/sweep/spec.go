@@ -4,7 +4,7 @@
 // hypotheses — machine-checkable predictions over the measured metrics.
 // The runner expands the grid, fans the runs out across worker goroutines
 // (each run is an independent deterministic simulation, so the fan-out is
-// embarrassingly parallel, unlike the intra-run replay axis), and streams
+// embarrassingly parallel, unlike intra-run parallel rounds), and streams
 // rows to JSONL/CSV in grid order regardless of worker count: the engine's
 // determinism contract (same config + seed → byte-identical metrics)
 // extends to the sweep layer byte for byte.

@@ -155,6 +155,12 @@ func TestParseErrors(t *testing.T) {
 			msg:   `unknown option set "warp"`,
 		},
 		{
+			name:  "retired option set",
+			json:  `{"algos": ["sort"], "machines": ["mc3"], "sizes": [64], "options": ["par2"]}`,
+			field: "options[0]",
+			msg:   `unknown option set "par2"`,
+		},
+		{
 			name:  "duplicate option via normalization",
 			json:  `{"algos": ["sort"], "machines": ["mc3"], "sizes": [64], "options": ["", "default"]}`,
 			field: "options[1]",
