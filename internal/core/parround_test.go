@@ -4,10 +4,11 @@ package core
 // full runs on identical machines, serial vs phase-split, must agree on
 // every observable the determinism contract freezes — Steps, the complete
 // machine snapshot, placements, steals and the heap contents — alone, under
-// every scheduler option, and on the failure path.  These run under -race
-// in CI: the speculation phase is the only place the engine lets several
-// strands execute at the same real instant, so the race detector doubles as
-// a proof that the fan-in really has no shared mutable state.
+// every scheduler option, with the decision trace attached, and on the
+// failure path.  These run under -race in CI: the speculation phase is the
+// only place the engine lets several strands execute at the same real
+// instant, so the race detector doubles as a proof that the fan-in really
+// has no shared mutable state.
 
 import (
 	"errors"
@@ -145,6 +146,44 @@ func TestParallelRoundsMatchSerial(t *testing.T) {
 		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, mixedWorkload)
 		checkParRoundsEquiv(t, mname+"/flat", cfg, []Opt{WithFlatScheduler()}, mixedWorkload)
 		checkParRoundsEquiv(t, mname+"/q8", cfg, []Opt{WithQuantum(8)}, mixedWorkload)
+	}
+}
+
+// runTraced is runEquiv with a fresh Trace attached; it also returns the
+// recorded decision events.
+func runTraced(cfg hm.Config, opts []Opt, workload func(*Session) func(*Ctx)) (equivResult, []TraceEvent) {
+	tr := &Trace{}
+	r := runEquiv(cfg, 1<<15, append(append([]Opt{}, opts...), WithTrace(tr)), workload, false)
+	return r, tr.Events
+}
+
+// TestParallelRoundsComposed: WithParallelRounds + WithTrace — speculative
+// rounds emit no events and resumed strands emit at the commit walk's
+// clock, so the decision trace must match the fully serial run event for
+// event, alongside every other frozen observable.
+func TestParallelRoundsComposed(t *testing.T) {
+	check := func(name string, cfg hm.Config, opts []Opt, workload func(*Session) func(*Ctx)) {
+		t.Run(name, func(t *testing.T) {
+			serial, serialEv := runTraced(cfg, opts, workload)
+			if len(serialEv) == 0 {
+				t.Fatal("serial run recorded no trace events")
+			}
+			for _, w := range []int{2, 4, 8} {
+				par, parEv := runTraced(cfg, append(append([]Opt{}, opts...), WithParallelRounds(w)), workload)
+				if !reflect.DeepEqual(serial, par) {
+					t.Errorf("workers=%d diverged from serial:\nserial   %+v\nparallel %+v", w, serial, par)
+				}
+				if !reflect.DeepEqual(serialEv, parEv) {
+					t.Errorf("workers=%d: trace diverged from serial (%d vs %d events)", w, len(serialEv), len(parEv))
+				}
+			}
+		})
+	}
+	for mname, cfg := range equivMachines() {
+		for wname, wl := range parRoundWorkloads() {
+			check(mname+"/"+wname, cfg, nil, wl)
+		}
+		check(mname+"/steal", cfg, []Opt{WithStealing()}, mixedWorkload)
 	}
 }
 
