@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-smoke tables examples vet oblivcheck trace-check lint cover race race-parallel failure-sweep fuzz soak profile profile-rounds sweep sweep-smoke clean
+.PHONY: all test bench bench-smoke tables examples vet oblivcheck trace-check lint cover race failure-sweep fuzz soak profile sweep sweep-smoke clean
 
 all: vet test
 
@@ -18,8 +18,8 @@ vet:
 	$(GO) vet ./...
 
 # Build the repo's vettool and run the oblivcheck suite (obliviousness,
-# determinism, hint hygiene, data-obliviousness, speculation safety) over
-# every package.  See DESIGN.md §8.
+# determinism, hint hygiene, data-obliviousness) over every package.  See
+# DESIGN.md §8.
 oblivcheck:
 	$(GO) build -o bin/oblivcheck ./cmd/oblivcheck
 	$(GO) vet -vettool=$(CURDIR)/bin/oblivcheck ./...
@@ -43,13 +43,10 @@ lint: vet oblivcheck
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration pass over the E-series benches, serial then under parallel
-# rounds: a cheap crash/divergence gate (OBLIVHM_PARALLEL_ROUNDS makes
-# benchMO verify the parallel metrics against an untimed serial
-# reference), not a timing run.
+# One-iteration pass over the E-series and round-loop benches: a cheap
+# crash gate, not a timing run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
-	OBLIVHM_PARALLEL_ROUNDS=4 $(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'RoundLoop' -benchtime 1x .
 
 # Regenerate the paper's Table I / Table II / ablation measurements
@@ -92,12 +89,6 @@ cover:
 race:
 	$(GO) test -race ./internal/core/... ./internal/harness/... ./internal/sweep ./cmd/tables
 
-# Race-check the parallel-rounds backend end to end: engine-level schedule
-# equivalence of the phase-split engine (DESIGN.md §10) and the harness
-# golden matrix + chaos sweep, all with real worker threads underneath.
-race-parallel:
-	$(GO) test -race -run 'Parallel' ./internal/core ./internal/harness
-
 # Failure-injection gate: the seeded kill/straggler/cache-fault suite and
 # the 16-seed failure sweep over the golden matrix under the race detector,
 # then the checked-in survivability spec end to end through the hypothesis
@@ -126,29 +117,11 @@ fuzz:
 
 # Flame-graph starting point for perf work: profile a representative
 # simulated run.  Override PROFILE_ARGS for other workloads, e.g.
-# PROFILE_ARGS="-algo mm -machine mc3 -n 16384 -parallel-rounds 4 -repeat 5".
+# PROFILE_ARGS="-algo mm -machine mc3 -n 16384 -repeat 5".
 PROFILE_ARGS ?= -algo sort -machine hm4 -n 8192 -repeat 10
 profile:
 	$(GO) run ./cmd/hmsim $(PROFILE_ARGS) -cpuprofile cpu.out -memprofile mem.out
 	@echo "inspect with: $(GO) tool pprof -top cpu.out   (or -http=:8080)"
-
-# Re-measure the scheduler residue (DESIGN.md §10, BENCH_PR*.json): serial
-# cpuprofiles of the five workloads the bench records track, then the
-# cumulative share of core.(*engine).loop from each — the fraction of the
-# run that stays serial under parallel rounds.
-profile-rounds:
-	@mkdir -p bin
-	$(GO) build -o bin/hmsim ./cmd/hmsim
-	bin/hmsim -algo scan -machine hm4 -n 16384 -repeat 20 -cpuprofile bin/rounds_scan.out
-	bin/hmsim -algo mm   -machine mc3 -n 4096  -repeat 20 -cpuprofile bin/rounds_mm.out
-	bin/hmsim -algo fft  -machine hm4 -n 4096  -repeat 20 -cpuprofile bin/rounds_fft.out
-	bin/hmsim -algo sort -machine hm4 -n 8192  -repeat 20 -cpuprofile bin/rounds_sort.out
-	bin/hmsim -algo lr   -machine mc3 -n 1024  -repeat 20 -cpuprofile bin/rounds_lr.out
-	@for f in scan mm fft sort lr; do \
-		echo "== $$f: cum%% of core.(*engine).loop =="; \
-		$(GO) tool pprof -top -nodefraction=0 bin/hmsim bin/rounds_$$f.out 2>/dev/null \
-			| grep -E '\(\*engine\)\.loop$$' || echo "  (not sampled)"; \
-	done
 
 clean:
 	rm -f test_output.txt bench_output.txt cpu.out mem.out

@@ -114,13 +114,6 @@ func main() {
 		{"steal", []core.Opt{core.WithStealing()}},
 		{"flat", []core.Opt{core.WithFlatScheduler()}},
 		{"q8", []core.Opt{core.WithQuantum(8)}},
-		// Parallel round execution (DESIGN.md §10): the speculation phase
-		// runs per-core strands concurrently, so chaos runs landing on these
-		// sets pin the documented chaos fallback (chaos serializes the loop)
-		// and the determinism probes pin metric equality.
-		{"pr2", []core.Opt{core.WithParallelRounds(2)}},
-		{"pr4", []core.Opt{core.WithParallelRounds(4)}},
-		{"pr4+steal", []core.Opt{core.WithParallelRounds(4), core.WithStealing()}},
 	}
 
 	var iters, chaosRuns, detProbes, noRuns, noBad, failRuns int

@@ -1,8 +1,7 @@
 // Package parfix pins the determinism analyzer's goroutine rule inside the
-// engine scope after the parallel-rounds change: the real internal/core now
-// carries two sanctioned `go` sites (the strand coroutine in runStrand and
-// the speculative launch in speculate()), both annotated with the
-// commit-order equivalence argument — and this fixture proves that a NEW,
+// engine scope: the real internal/core carries one sanctioned engine `go`
+// site (the strand coroutine launch in runStrand), annotated with the
+// lockstep-handoff argument — and this fixture proves that a NEW,
 // unsanctioned `go` statement in internal/core still fails the check, so
 // the annotation is a per-site escape hatch, not a package-wide waiver.
 package parfix
@@ -18,13 +17,11 @@ func (st *strand) main() {
 	st.yield <- struct{}{}
 }
 
-// SpeculativeLaunch mirrors the sanctioned site in parround.go: the
-// annotation cites the argument that makes the concurrency unobservable.
-func SpeculativeLaunch(fronts []*strand) {
-	for _, st := range fronts {
-		//oblivcheck:allow determinism: speculative strand launch — pure rounds are replayed by the serial commit walk in (round, core) order, byte-identical to the serial schedule
-		go st.main()
-	}
+// StrandLaunch mirrors the sanctioned site in engine.go: the annotation
+// cites the argument that makes the concurrency unobservable.
+func StrandLaunch(st *strand) {
+	//oblivcheck:allow determinism: strand coroutine — lockstep resume/yield handoff, exactly one strand runs at a time, so the schedule is independent of OS interleaving
+	go st.main()
 }
 
 // UnsanctionedLaunch is the regression the rule exists for: engine code

@@ -13,6 +13,7 @@ package core
 // lone SB task), which exercises inlineSB / inlineAnchored / inlineRejoin.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -371,5 +372,207 @@ func TestEquivQuantumVariants(t *testing.T) {
 				)
 			}
 		})
+	}
+}
+
+// mixedWorkload is a representative engine shape: binary SB recursion
+// with PFor leaves over a shared array, enough strands to keep several
+// cores busy.
+func mixedWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(1 << 12)
+	var rec func(c *Ctx, lo, hi int64, space int64)
+	rec = func(c *Ctx, lo, hi, space int64) {
+		if hi-lo <= 1<<8 {
+			c.PFor(int(hi-lo), 1, func(cc *Ctx, i0, i1 int) {
+				for i := i0; i < i1; i++ {
+					a := v.Base + Addr(lo+int64(i))
+					cc.StoreI(a, cc.LoadI(a)+lo+int64(i))
+				}
+			})
+			return
+		}
+		mid := (lo + hi) / 2
+		c.SpawnSB(
+			Task{Space: space / 2, Fn: func(cc *Ctx) { rec(cc, lo, mid, space/2) }},
+			Task{Space: space / 2, Fn: func(cc *Ctx) { rec(cc, mid, hi, space/2) }},
+		)
+	}
+	return func(c *Ctx) { rec(c, 0, 1<<12, 1<<14) }
+}
+
+// tickHeavyWorkload runs long pure stretches (ticks + array walks) between
+// rare forks, so strands stay in lockstep for many rounds between
+// scheduler events.  Each task owns a disjoint 128-word range, as
+// concurrently runnable strands of a race-free fork-join program do.
+func tickHeavyWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(1 << 10)
+	return func(c *Ctx) {
+		c.SpawnCGCSB(1<<11, 8, func(cc *Ctx, idx int) {
+			base := v.Base + Addr(idx<<7)
+			for i := 0; i < 1<<10; i++ {
+				a := base + Addr(i%(1<<7))
+				cc.StoreI(a, cc.LoadI(a)+int64(idx))
+				cc.Tick(3)
+			}
+		})
+		for i := 0; i < 256; i++ {
+			c.StoreI(v.Base+Addr(i), c.LoadI(v.Base+Addr(i))+1)
+		}
+	}
+}
+
+// forkHeavyWorkload forks constantly: a depth-6 binary SB recursion with a
+// few memory operations per leaf, so admissions, placements and joins
+// dominate over in-round execution.
+func forkHeavyWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(512)
+	var rec func(c *Ctx, lo Addr, d int)
+	rec = func(c *Ctx, lo Addr, d int) {
+		if d == 0 {
+			// Each of the 64 leaves owns the disjoint 8-word range [lo, lo+8).
+			for j := 0; j < 8; j++ {
+				c.StoreI(v.Base+lo+Addr(j), c.LoadI(v.Base+lo+Addr(j))+1)
+			}
+			return
+		}
+		half := Addr(4) << uint(d) // child subtree width: 8<<(d-1) words
+		c.SpawnSB(
+			Task{Space: int64(64 << uint(d%3)), Fn: func(cc *Ctx) { rec(cc, lo, d-1) }},
+			Task{Space: int64(64 << uint(d%3)), Fn: func(cc *Ctx) { rec(cc, lo+half, d-1) }},
+		)
+	}
+	return func(c *Ctx) { rec(c, 0, 6) }
+}
+
+// pforHeavyWorkload repeats a streaming PFor: the parent forks a chunk to
+// every sibling core, runs its own chunk as a long pure stretch, then joins
+// — four times over the same array.
+func pforHeavyWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(1 << 11)
+	return func(c *Ctx) {
+		for rep := 0; rep < 4; rep++ {
+			c.PFor(1<<11, 1, func(cc *Ctx, lo, hi int) {
+				for r := 0; r < 8; r++ {
+					for i := lo; i < hi; i++ {
+						a := v.Base + Addr(i)
+						cc.StoreI(a, cc.LoadI(a)+1)
+						cc.Tick(1)
+					}
+				}
+			})
+		}
+	}
+}
+
+// forkJoinShapes are four whole-program engine shapes: mixed SB recursion
+// with PFor leaves, tick-heavy CGC⇒SB tasks, fork-heavy SB recursion and
+// repeated streaming PFor.
+var forkJoinShapes = []struct {
+	name string
+	wl   func(*Session) func(*Ctx)
+}{
+	{"mixed", mixedWorkload},
+	{"tick", tickHeavyWorkload},
+	{"fork", forkHeavyWorkload},
+	{"pfor", pforHeavyWorkload},
+}
+
+// The ParallelRounds in the next three test names is historical: these
+// tests once also ran a multi-threaded round backend, since deleted.  What
+// they keep is the serial fast path checked against the reference engine.
+
+// TestParallelRoundsMatchReference runs the fork-join shapes on every
+// machine shape, plus the mixed shape under stealing, the flat scheduler
+// and quantum 8, through checkEquiv.
+func TestParallelRoundsMatchReference(t *testing.T) {
+	for mname, cfg := range equivMachines() {
+		for _, w := range forkJoinShapes {
+			checkEquiv(t, mname+"/"+w.name, cfg, 1<<15, nil, w.wl)
+		}
+		checkEquiv(t, mname+"/steal", cfg, 1<<15, []Opt{WithStealing()}, mixedWorkload)
+		checkEquiv(t, mname+"/flat", cfg, 1<<15, []Opt{WithFlatScheduler()}, mixedWorkload)
+		checkEquiv(t, mname+"/q8", cfg, 1<<15, []Opt{WithQuantum(8)}, mixedWorkload)
+	}
+}
+
+// runTraced is runEquiv with a fresh Trace attached; it also returns the
+// recorded decision events.
+func runTraced(cfg hm.Config, opts []Opt, workload func(*Session) func(*Ctx), ref bool) (equivResult, []TraceEvent) {
+	tr := &Trace{}
+	r := runEquiv(cfg, 1<<15, append(append([]Opt{}, opts...), WithTrace(tr)), workload, ref)
+	return r, tr.Events
+}
+
+// TestParallelRoundsComposed composes WithTrace with the engine.  The
+// trace only observes, so a traced run must match the untraced run on
+// every frozen observable, and the fast path's decision trace must match
+// the reference engine's event for event.
+func TestParallelRoundsComposed(t *testing.T) {
+	check := func(name string, cfg hm.Config, opts []Opt, workload func(*Session) func(*Ctx)) {
+		t.Run(name, func(t *testing.T) {
+			plain := runEquiv(cfg, 1<<15, opts, workload, false)
+			fast, fastEv := runTraced(cfg, opts, workload, false)
+			if len(fastEv) == 0 {
+				t.Fatal("traced run recorded no events")
+			}
+			if !reflect.DeepEqual(plain, fast) {
+				t.Errorf("tracing changed the run:\nuntraced %+v\ntraced   %+v", plain, fast)
+			}
+			_, refEv := runTraced(cfg, opts, workload, true)
+			if !reflect.DeepEqual(fastEv, refEv) {
+				t.Errorf("trace diverged from the reference engine (%d vs %d events)", len(fastEv), len(refEv))
+			}
+		})
+	}
+	for mname, cfg := range equivMachines() {
+		for _, w := range forkJoinShapes {
+			check(mname+"/"+w.name, cfg, nil, w.wl)
+		}
+		check(mname+"/steal", cfg, []Opt{WithStealing()}, mixedWorkload)
+	}
+}
+
+// TestParallelRoundsFailure: a strand failing mid-run must surface as the
+// same *RunError on the fast path as on the reference engine — same core,
+// anchor and label — at the same virtual time and access count.
+func TestParallelRoundsFailure(t *testing.T) {
+	build := func(opts ...Opt) (*Session, func(*Ctx)) {
+		m := hm.MustMachine(hm.HM4(4, 4))
+		s := NewSim(m, opts...)
+		v := s.NewI64(256)
+		root := func(c *Ctx) {
+			c.SpawnCGCSB(1<<10, 8, func(cc *Ctx, idx int) {
+				for i := 0; i < 200; i++ {
+					cc.StoreI(v.Base+Addr(idx<<5+i%32), int64(i))
+				}
+				if idx == 5 {
+					cc.LoadU(Addr(1 << 40)) // out of heap: *AddressError
+				}
+				for i := 0; i < 200; i++ {
+					cc.Tick(1)
+				}
+			})
+		}
+		return s, root
+	}
+
+	s1, r1 := build()
+	_, err1 := s1.TryRunCold(1<<15, r1)
+	s2, r2 := build(withReference())
+	_, err2 := s2.TryRunCold(1<<15, r2)
+
+	var re1, re2 *RunError
+	if !errors.As(err1, &re1) || !errors.As(err2, &re2) {
+		t.Fatalf("expected *RunError from both runs, got fast=%v reference=%v", err1, err2)
+	}
+	if re1.Core != re2.Core || re1.Label != re2.Label ||
+		re1.AnchorLevel != re2.AnchorLevel || re1.AnchorIndex != re2.AnchorIndex {
+		t.Errorf("failure reports diverged:\nfast      %+v\nreference %+v", re1, re2)
+	}
+	if s1.eng.clock != s2.eng.clock {
+		t.Errorf("failure clock diverged: fast %d, reference %d", s1.eng.clock, s2.eng.clock)
+	}
+	if a1, a2 := s1.Machine().Accesses, s2.Machine().Accesses; a1 != a2 {
+		t.Errorf("accesses at failure diverged: fast %d, reference %d", a1, a2)
 	}
 }

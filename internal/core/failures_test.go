@@ -219,19 +219,6 @@ func TestFailuresComposeWithChaos(t *testing.T) {
 	}
 }
 
-// TestFailuresSerializeParallelRounds: recovery serializes the epoch, so
-// WithParallelRounds at any worker count is byte-identical to the serial
-// failure run.
-func TestFailuresSerializeParallelRounds(t *testing.T) {
-	serial := runFailure(t, hm.MC3(8), 2048, WithFailures(2, failPlan))
-	for _, w := range []int{2, 4, 8} {
-		par := runFailure(t, hm.MC3(8), 2048, WithFailures(2, failPlan), WithParallelRounds(w))
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d diverged from serial:\n%+v\n%+v", w, serial, par)
-		}
-	}
-}
-
 // TestFailuresWithStealing: the dead-core skip must hold on the full-scan
 // (stealing) path too — no strand is ever stolen for a dead core.
 func TestFailuresWithStealing(t *testing.T) {

@@ -95,11 +95,7 @@ func TestChaosSameSeedReproducible(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", gc.key(), seed, err)
 				}
-				m := goldenMetrics{Steps: res.Steps, PlacedAt: res.PlacedAt, Steals: res.Steals}
-				for _, l := range res.Levels {
-					m.MaxMisses = append(m.MaxMisses, l.MaxMisses)
-				}
-				return m
+				return metricsTuple(res)
 			}
 			a, b := run(), run()
 			if !reflect.DeepEqual(a, b) {

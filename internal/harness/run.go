@@ -29,18 +29,13 @@ type RunConfig struct {
 // The names are part of the determinism contract surface: golden snapshots
 // (golden_test.go), sweep specs and CHANGES-visible CLIs all refer to
 // schedules by these names, so a name is removed only together with the
-// engine backend it selects — and an old spec naming it then fails to parse
-// rather than running a different schedule.
+// engine mechanism it selects — and an old spec naming it then fails to
+// parse rather than running a different schedule.
 var optionSets = map[string]func() []core.Opt{
 	"default": func() []core.Opt { return nil },
 	"steal":   func() []core.Opt { return []core.Opt{core.WithStealing()} },
 	"flat":    func() []core.Opt { return []core.Opt{core.WithFlatScheduler()} },
 	"q8":      func() []core.Opt { return []core.Opt{core.WithQuantum(8)} },
-	"pr2":     func() []core.Opt { return []core.Opt{core.WithParallelRounds(2)} },
-	"pr4":     func() []core.Opt { return []core.Opt{core.WithParallelRounds(4)} },
-	"pr4steal": func() []core.Opt {
-		return []core.Opt{core.WithParallelRounds(4), core.WithStealing()}
-	},
 
 	// Failure-injection sets (PR 8).  Each carries a watchdog so a workload
 	// whose restartability assumption breaks down livelocks into a typed

@@ -34,11 +34,8 @@ func (r TraceResult) String() string {
 }
 
 // TraceMO runs the named workload cold on the named machine with inputs
-// drawn from the given data seed, capturing the access stream.  Trace
-// capture is serial-order only — a parallel-rounds speculative phase issues
-// accesses in thread-timing order, and hm.StartTrace refuses to begin while
-// one is active — so no engine options are accepted: the run uses the
-// default serial engine.
+// drawn from the given data seed, capturing the access stream.  No engine
+// options are accepted: the run uses the default schedule.
 func TraceMO(algo, machine string, n int, seed int64) (TraceResult, error) {
 	cfg, err := Machine(machine)
 	if err != nil {

@@ -138,17 +138,3 @@ func TestTraceCatchesInjectedLeak(t *testing.T) {
 		t.Errorf("injected secret-dependent branch not visible in the trace: %016x/%d on both seeds", a.Hash, a.Accesses)
 	}
 }
-
-// TestStartTraceRefusesParallelBackend: while a parallel-rounds fan-in is
-// active, accesses are issued in thread-timing order, so trace capture must
-// refuse to start.
-func TestStartTraceRefusesParallelBackend(t *testing.T) {
-	m := hm.MustMachine(hm.Presets()["hm4"])
-	m.StartRoundFanIn()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StartTrace during an active fan-in should panic")
-		}
-	}()
-	m.StartTrace()
-}

@@ -9,12 +9,9 @@ package hm
 // access is folded into a 64-bit FNV-1a-style chain, so capturing a
 // billion-access run costs two multiplies per access and no memory.
 //
-// Capture records at Load/Store issue time, which is the deterministic
-// serial program order only while fan-in is off: during a parallel-rounds
-// speculative phase, strands issue per-core streams whose interleaving is
-// thread-timing dependent.  StartTrace therefore refuses a machine with an
-// active fan-in, and the harness keeps trace runs on the default serial
-// engine.
+// Capture records at Load/Store issue time.  The engine runs exactly one
+// strand at a time, so issue order is the deterministic serial program
+// order.
 
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -59,12 +56,7 @@ type TraceDigest struct {
 // StartTrace begins capturing the access stream into a fresh digest.  Peek
 // and Poke bypass capture the same way they bypass the cache model: input
 // initialisation and output verification are not part of the measured trace.
-// Panics while a parallel-rounds fan-in is active, whose issue order is not
-// the serial program order.
 func (m *Machine) StartTrace() {
-	if m.fan != nil && m.fan.on {
-		panic("hm: StartTrace during a parallel-rounds fan-in; trace capture is serial-order only")
-	}
 	m.trace = &traceCap{hash: fnvOffset64}
 }
 

@@ -161,6 +161,12 @@ func TestParseErrors(t *testing.T) {
 			msg:   `unknown option set "par2"`,
 		},
 		{
+			name:  "retired pr4steal option set",
+			json:  `{"algos": ["sort"], "machines": ["mc3"], "sizes": [64], "options": ["pr4steal"]}`,
+			field: "options[0]",
+			msg:   `unknown option set "pr4steal"`,
+		},
+		{
 			name:  "duplicate option via normalization",
 			json:  `{"algos": ["sort"], "machines": ["mc3"], "sizes": [64], "options": ["", "default"]}`,
 			field: "options[1]",
