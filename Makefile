@@ -1,5 +1,8 @@
 # oblivhm — reproduction of "Oblivious Algorithms for Multicores and
-# Network of Processors" (IPDPS 2010).  Stdlib-only; Go >= 1.22.
+# Network of Processors" (IPDPS 2010).  Stdlib-only.  Go toolchain >= 1.23;
+# go.mod stays at go 1.22 so perfbench builds: the engine's iter.Pull
+# strands sit behind a go1.23 build constraint, and the go 1.22 perfbench
+# module would refuse a newer go line in the module it replaces onto.
 
 GO ?= go
 

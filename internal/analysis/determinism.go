@@ -18,9 +18,9 @@ import (
 //   - iteration over a map (order is randomized per run by the runtime),
 //   - sync.Map (iteration order and interleaving are unspecified),
 //   - go statements outside the sanctioned native entry points — the
-//     native-mode executor, plus the one engine site, the strand coroutine
-//     launch, which carries an //oblivcheck:allow annotation citing its
-//     equivalence argument.
+//     native-mode executor's worker spawns, each carrying an
+//     //oblivcheck:allow annotation citing its equivalence argument.  The
+//     simulated engine has no go statement: its strands are coroutines.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, or unsanctioned goroutines",

@@ -337,7 +337,7 @@ func (c *Ctx) waitJoin(jn *join) {
 		// parked must orphan the join (killStrand), or its last child's
 		// completion would resurrect the dead strand.
 		c.st.waitingOn = jn
-		c.st.park()
+		c.st.suspend(yBlocked)
 		c.st.waitingOn = nil
 	}
 	c.s.eng.putJoin(jn)

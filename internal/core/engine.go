@@ -1,6 +1,14 @@
+//go:build go1.23
+
+// Strands are stdlib coroutines (iter.Pull, go1.23).  The constraint raises
+// this file's language version; go.mod stays at go 1.22 because the go 1.22
+// perfbench module replaces onto this one and would refuse a newer go line.
+
 package core
 
 import (
+	"fmt"
+	"iter"
 	"math/bits"
 
 	"oblivhm/internal/hm"
@@ -8,8 +16,9 @@ import (
 
 // The simulated executor is a cooperative fork-join engine over the virtual
 // cores of an hm.Machine.  Exactly one strand (lightweight task) executes at
-// any real instant — the engine hands a budget of virtual operations to one
-// strand at a time via channels — so the simulation is fully deterministic:
+// any real instant — each strand is a coroutine, and the engine hands a
+// budget of virtual operations to one strand at a time by resuming it and
+// waiting for its next yield — so the simulation is fully deterministic:
 // cores proceed in lockstep rounds of `quantum` operations, realising the
 // model's "all cores run at the same rate" assumption.  Virtual parallel
 // time is the number of rounds times the quantum.
@@ -24,16 +33,16 @@ import (
 //     (e.nrun == 0 after it is popped), interleaving cannot be observed, so
 //     the grant carries an effectively unbounded number of whole rounds.
 //     The strand commits round boundaries locally in charge() — bumping the
-//     clock and refilling its quantum without a channel crossing — and the
+//     clock and refilling its quantum without a coroutine switch — and the
 //     batch is truncated at the next boundary as soon as the strand makes
 //     anything else runnable (every such transition funnels through
 //     enqueue(), which sets batchAbort).  This is the adaptive quantum: one
 //     live strand runs in arbitrarily long grants, concurrent strands fall
 //     back to the exact per-round lockstep.
-//   - Pooling: strand objects, their channels, and their goroutines are
-//     recycled within a run.  A pooled goroutine parks on its resume channel
-//     between assignments and keeps its grown stack, which matters for the
-//     deeply recursive algorithms.
+//   - Pooling: strand objects and their coroutines are recycled within a
+//     run.  A pooled coroutine stays suspended in its final yield between
+//     assignments and keeps its grown stack, which matters for the deeply
+//     recursive algorithms.
 //   - Active-core scan: the round loop walks a bitmask of cores with
 //     non-empty run queues (the machine model caps p at 64) instead of
 //     scanning every runq slice; with stealing enabled it falls back to the
@@ -63,14 +72,18 @@ type strand struct {
 	anchor  *hm.Cache // cache the strand's task is anchored at
 	fn      func(*Ctx)
 	ctx     *Ctx
-	resume  chan int64
-	yield   chan yieldMsg
-	budget  int64
+	budget  int64 // operations left; the engine writes each grant here
 	rounds  int64 // whole rounds left in the current batch grant
 	grant   int64 // batch rounds for the next resume, written by the engine
 	started bool  // this assignment has received its first grant
-	spawned bool  // a pooled goroutine is attached to the channels
 	done    bool
+
+	// The strand's coroutine, created at its first grant and kept across
+	// pooled assignments: the engine resumes it with next and ends it with
+	// stop; the strand suspends itself with yield.
+	next  func() (yieldMsg, bool)
+	stop  func()
+	yield func(yieldMsg) bool
 
 	label    string     // task label carried into failure reports
 	blockIdx int        // index in the engine's blocked list, -1 if not parked
@@ -262,7 +275,7 @@ func (e *engine) putJoin(jn *join) {
 }
 
 // newStrand creates (but does not start) a strand pinned to core, reusing a
-// pooled strand (object, channels, goroutine) when one is free.
+// pooled strand (object and coroutine) when one is free.
 func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), label string) *strand {
 	// Dead cores never receive new work: any placement that lands on one is
 	// redirected to the least-loaded survivor under the same anchor.  The
@@ -283,19 +296,7 @@ func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), 
 		st.inline = st.inline[:0]
 		st.ctx.core, st.ctx.anchor = core, anchor
 	} else {
-		// Cap-1 channels: the protocol is strict ping-pong (at most one
-		// message in flight per channel), and a buffered send lets the
-		// sender proceed straight to its own blocking receive without the
-		// unbuffered direct-handoff machinery.
-		st = &strand{
-			eng:    e,
-			core:   core,
-			anchor: anchor,
-			fn:     fn,
-			resume: make(chan int64, 1),
-			yield:  make(chan yieldMsg, 1),
-			jn:     jn,
-		}
+		st = &strand{eng: e, core: core, anchor: anchor, fn: fn, jn: jn}
 		st.ctx = &Ctx{s: e.s, core: core, anchor: anchor, st: st}
 	}
 	st.label = label
@@ -367,6 +368,17 @@ func (e *engine) run(space int64, root func(*Ctx)) error {
 		e.runq[i] = deque{}
 	}
 	e.blockedL = e.blockedL[:0]
+	// A failed run leaves the accounting of its unfinished strands and
+	// queued tasks behind; clear it so the session stays usable.  After a
+	// successful run all of it is already zero.
+	e.live, e.qd = 0, 0
+	clear(e.load)
+	for _, level := range e.slots {
+		for _, slot := range level {
+			clear(slot.queue)
+			slot.used, slot.anchd, slot.queue = 0, 0, slot.queue[:0]
+		}
+	}
 	if e.chaos != nil {
 		e.chaos.deferred = e.chaos.deferred[:0]
 	}
@@ -400,17 +412,31 @@ func (e *engine) run(space int64, root func(*Ctx)) error {
 	return nil
 }
 
-// drain releases the pooled worker goroutines at the end of a run (they
-// would otherwise outlive the engine parked on their resume channels).
-// Strands still blocked when a run fails leak exactly as in the seed.
+// drain ends every strand coroutine at the end of a run, so none outlives
+// the engine: the pooled ones suspended between assignments and, when the
+// run failed, those still queued or parked.  A stopped strand suspended
+// mid-task unwinds through suspend's killedStrand panic.
 func (e *engine) drain() {
-	for i, st := range e.pool {
-		if st.spawned {
-			close(st.resume)
+	for c := range e.runq {
+		for _, st := range e.runq[c].buf[e.runq[c].head:] {
+			st.end()
 		}
+	}
+	for _, st := range e.blockedL {
+		st.end()
+	}
+	for i, st := range e.pool {
+		st.end()
 		e.pool[i] = nil
 	}
 	e.pool = e.pool[:0]
+}
+
+// end stops the strand's coroutine, if it has one.
+func (st *strand) end() {
+	if st.stop != nil {
+		st.stop()
+	}
 }
 
 func (e *engine) loop() error {
@@ -575,16 +601,15 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 		}
 	}
 	e.batchAbort = false
-	if !st.started {
-		st.started = true
-		if !st.spawned {
-			st.spawned = true
-			//oblivcheck:allow determinism: strand coroutine — lockstep resume/yield handoff, exactly one strand runs at a time, so the schedule is independent of OS interleaving
-			go st.main()
-		}
+	st.started = true
+	if st.next == nil {
+		st.next, st.stop = iter.Pull(st.main)
 	}
-	st.resume <- budget
-	msg := <-st.yield
+	st.budget = budget
+	msg, ok := st.next()
+	if !ok {
+		panic(fmt.Sprintf("core: strand %q on core %d returned from its coroutine, want a yield", st.label, st.core))
+	}
 	leftover := st.budget
 	switch msg.kind {
 	case yBudget:
@@ -836,16 +861,13 @@ func (e *engine) leastLoadedSlot(lambda *hm.Cache, j int) *cacheSlot {
 	return best
 }
 
-// strand goroutine body: a pooled worker loop.  Each iteration runs one
-// assignment; between assignments the goroutine parks on the resume channel
-// (keeping its grown stack), and exits when the engine closes the channel.
-func (st *strand) main() {
+// main is the strand coroutine body: a pooled worker loop.  Each iteration
+// runs one assignment from the grant that resumed it and yields yDone; the
+// coroutine stays suspended in that yield between assignments (keeping its
+// grown stack) and returns once the engine stops it.
+func (st *strand) main(yield func(yieldMsg) bool) {
+	st.yield = yield
 	for {
-		budget, ok := <-st.resume
-		if !ok {
-			return
-		}
-		st.budget = budget
 		st.rounds = st.grant
 		var failed any
 		func() {
@@ -856,16 +878,18 @@ func (st *strand) main() {
 			}()
 			st.fn(st.ctx)
 		}()
-		st.yield <- yieldMsg{kind: yDone, panicked: failed}
+		if !yield(yieldMsg{kind: yDone, panicked: failed}) {
+			return
+		}
 	}
 }
 
-// recv blocks for the next grant and adopts its batch extension.  The
-// poison grant (killStrand) unwinds the goroutine instead: the panic
-// surfaces through the pooled worker loop's recover as a yDone.
-func (st *strand) recv() {
-	st.budget = <-st.resume
-	if st.budget == poisonBudget {
+// suspend yields kind to the engine, blocks until the next grant and adopts
+// it with its batch extension.  The poison grant (killStrand) and a stopped
+// coroutine (drain) unwind the task instead: the killedStrand panic surfaces
+// through main's recover as a yDone.
+func (st *strand) suspend(kind yieldKind) {
+	if !st.yield(yieldMsg{kind: kind}) || st.budget == poisonBudget {
 		panic(killedStrand{})
 	}
 	st.rounds = st.grant
@@ -895,22 +919,8 @@ func (st *strand) chargeSlow() {
 			st.budget = e.quantum
 			continue
 		}
-		st.yield <- yieldMsg{kind: yBudget}
-		st.recv()
+		st.suspend(yBudget)
 	}
-}
-
-// park blocks the strand until the engine resumes it (join complete).
-func (st *strand) park() {
-	st.yield <- yieldMsg{kind: yBlocked}
-	st.recv()
-}
-
-// requeue yields the strand to the back of its core's queue, behind strands
-// the inline finish admitted, and blocks until re-granted.
-func (st *strand) requeue() {
-	st.yield <- yieldMsg{kind: yRequeue}
-	st.recv()
 }
 
 // ---- inline leaf spawns ----
@@ -999,7 +1009,7 @@ func (c *Ctx) inlineAnchored(slot *cacheSlot, t Task) bool {
 // yields to the back of the queue.
 func (c *Ctx) inlineRejoin() {
 	if !c.s.eng.runq[c.core].empty() {
-		c.st.requeue()
+		c.st.suspend(yRequeue)
 	}
 }
 

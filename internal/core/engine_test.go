@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"oblivhm/internal/hm"
 )
@@ -125,6 +128,60 @@ func TestDeadlockDetection(t *testing.T) {
 		jn := &join{pending: 1} // a join that can never be signalled
 		c.waitJoin(jn)
 	})
+}
+
+// TestFailedRunsEndTheirStrands: a failed run must not leak the coroutines
+// of strands still parked or queued when it stops.  Three failing runs on
+// one session — a deadlock with 64 parked strands, a panicking task among
+// 64 runnable ones, and a watchdog trip with 64 livelocked ones — must
+// leave the goroutine count where it started.
+func TestFailedRunsEndTheirStrands(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := NewSim(hm.MustMachine(hm.MC3(4)), WithWatchdog(1<<10))
+
+	_, err := s.TryRun(1<<12, func(c *Ctx) {
+		c.SpawnCGCSB(64, 64, func(cc *Ctx, i int) {
+			cc.waitJoin(&join{pending: 1}) // never signalled
+		})
+	})
+	var de *DeadlockError
+	if !errors.As(err, &de) || len(de.Report.Blocked) < 64 {
+		t.Fatalf("deadlock run: err = %v, want *DeadlockError with 64+ parked strands", err)
+	}
+
+	_, err = s.TryRun(1<<12, func(c *Ctx) {
+		c.SpawnCGCSB(64, 64, func(cc *Ctx, i int) {
+			cc.Tick(int64(100 * (i + 1)))
+			if i == 5 {
+				panic("task failure")
+			}
+		})
+	})
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("panicking run: err = %v, want *RunError", err)
+	}
+
+	_, err = s.TryRun(1<<12, func(c *Ctx) {
+		c.SpawnCGCSB(64, 64, func(cc *Ctx, i int) {
+			for {
+				cc.Tick(1)
+			}
+		})
+	})
+	if !errors.Is(err, ErrWatchdog) {
+		t.Fatalf("livelocked run: err = %v, want ErrWatchdog", err)
+	}
+
+	// A stopped coroutine's goroutine exits asynchronously; poll briefly.
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > base; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after three failed runs, %d before", n, base)
+	}
 }
 
 // TestManyConcurrentStrands: stress the engine with hundreds of strands
