@@ -110,13 +110,15 @@ soak:
 	$(GO) run -race ./cmd/soak -duration=$(SOAKTIME) -failures
 
 # Short native fuzz runs: the SPMS sorter and the prefix scan against
-# their sequential specifications, and the sweep-spec parser against its
-# typed-error contract.  FUZZTIME=1m fuzz for longer runs.
+# their sequential specifications, the sweep-spec parser against its
+# typed-error contract, and the hm cache machine against a naive model.
+# FUZZTIME=1m fuzz for longer runs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzSPMSSort -fuzztime=$(FUZZTIME) ./internal/spms
 	$(GO) test -fuzz=FuzzScan -fuzztime=$(FUZZTIME) ./internal/scan
 	$(GO) test -fuzz=FuzzSweepSpec -fuzztime=$(FUZZTIME) ./internal/sweep
+	$(GO) test -fuzz=FuzzMachine -fuzztime=$(FUZZTIME) ./internal/hm
 
 # Flame-graph starting point for perf work: profile a representative
 # simulated run.  Override PROFILE_ARGS for other workloads, e.g.

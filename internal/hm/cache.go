@@ -1,5 +1,12 @@
 package hm
 
+// This file holds one cache of the hierarchy: exact LRU over a
+// slot-indexed doubly linked list per set, with a dense block->slot index.
+// Every operation is O(1): a hit moves its slot to the set's head (or
+// returns at once when it is already there), a miss takes a free slot or
+// the list tail.  Each slot also carries the exclusive-write mark that the
+// machine's coherence layer keeps on L1 copies (machine.go).
+
 // Cache is one cache in the hierarchy.  The HM model does not constrain
 // associativity and the cache-oblivious literature assumes ideal (fully
 // associative LRU) caches; that is the default here (Ways = 0).  A positive
@@ -8,7 +15,12 @@ package hm
 // (see the associativity tests and the ablation benchmarks).
 //
 // Cache state is a set of resident block ids; block id b at a level with
-// block size B covers word addresses [b*B, (b+1)*B).
+// block size B covers word addresses [b*B, (b+1)*B).  Recency is one
+// linked list per set, for every geometry.  A slot's excl flag is the
+// exclusive-write mark: on an L1 copy it records that no cache off the
+// owning core's path has gained a copy of the block since that core's last
+// write cleared them all, so the next write can skip the coherence scan
+// (see Machine.access for the invariant).
 type Cache struct {
 	Level int // 1-based cache level
 	Index int // index among the q_i caches of this level, left to right
@@ -37,31 +49,17 @@ type Cache struct {
 	setMask int64 // nsets-1 when nsets is a power of two, else -1
 	ways    int64
 
-	// Timestamp LRU (small sets): recency is a per-slot stamp and the
-	// eviction victim is the set's minimum stamp — exactly the linked-list
-	// tail — but a hit costs one store instead of a list reposition.
-	// Eviction pays an O(ways) victim scan, which is fine precisely when
-	// sets are small (evictions are as rare as misses).  stamp == nil
-	// selects the linked-list implementation for large fully-associative
-	// caches, where the scan would dominate miss-heavy runs.
-	stamp []int64
-	tick  int64
-
 	resident int64 // blocks currently held
 	inited   bool
 }
 
-// stampLRUMax bounds the per-eviction victim scan of timestamp LRU: caches
-// whose sets are larger keep the linked-list implementation.  64 covers the
-// L1s (touched on every access, tiny scan) while miss-heavy upper levels,
-// where an O(set) scan per eviction would outweigh the cheap touches, stay
-// on the O(1)-eviction list.
-const stampLRUMax = 64
-
+// slot is one resident block.  dirty and excl share the padding after the
+// links, so a slot stays 24 bytes.
 type slot struct {
 	block      int64
 	prev, next int32
 	dirty      bool
+	excl       bool // exclusive-write mark, kept on L1 copies only
 }
 
 // CacheStats counts block traffic at a single cache.
@@ -97,16 +95,6 @@ func (c *Cache) init() {
 	}
 	for i := range c.index {
 		c.index[i] = nilSlot
-	}
-	if c.ways <= stampLRUMax {
-		if int64(len(c.stamp)) != c.Cap {
-			c.stamp = make([]int64, c.Cap)
-			c.tick = 1
-		}
-		// Reused stamps stay monotonic (tick is not reset), so stale
-		// values can never shadow fresh ones.
-	} else {
-		c.stamp = nil
 	}
 	if int64(len(c.head)) != c.nsets {
 		c.head = make([]int32, c.nsets)
@@ -146,19 +134,7 @@ func (c *Cache) lookup(b int64) int32 {
 // setIndex records block b in slot s, growing the dense index on demand.
 func (c *Cache) setIndex(b int64, s int32) {
 	if b >= int64(len(c.index)) {
-		n := int64(len(c.index)) * 2
-		if n < b+1 {
-			n = b + 1
-		}
-		if n < 1024 {
-			n = 1024
-		}
-		grown := make([]int32, n)
-		copy(grown, c.index)
-		for i := len(c.index); i < len(grown); i++ {
-			grown[i] = nilSlot
-		}
-		c.index = grown
+		c.index = grow(c.index, b, nilSlot)
 	}
 	c.index[b] = s
 }
@@ -181,11 +157,6 @@ func (c *Cache) Parent() *Cache { return c.parent }
 
 // touch moves an already-resident slot to its set's MRU position.
 func (c *Cache) touch(set int64, s int32) {
-	if c.stamp != nil {
-		c.stamp[s] = c.tick
-		c.tick++
-		return
-	}
 	if c.head[set] == s {
 		return
 	}
@@ -242,23 +213,6 @@ func (c *Cache) install(b int64, dirty bool) {
 		s = c.free[set]
 		c.free[set] = c.slots[s].next
 		c.resident++
-	} else if c.stamp != nil {
-		// Evict the set's LRU: the minimum stamp (scan only runs when the
-		// set is full, i.e. once per miss).
-		lo, hi := set*c.ways, (set+1)*c.ways
-		s = int32(lo)
-		min := c.stamp[lo]
-		for i := lo + 1; i < hi; i++ {
-			if c.stamp[i] < min {
-				min, s = c.stamp[i], int32(i)
-			}
-		}
-		victim := &c.slots[s]
-		c.Stats.Evictions++
-		if victim.dirty {
-			c.Stats.Writebacks++
-		}
-		c.index[victim.block] = nilSlot
 	} else {
 		// Evict the set's LRU: the list tail.
 		s = c.tail[set]
@@ -275,13 +229,7 @@ func (c *Cache) install(b int64, dirty bool) {
 			c.head[set] = nilSlot
 		}
 	}
-	if c.stamp != nil {
-		c.slots[s] = slot{block: b, prev: nilSlot, next: nilSlot, dirty: dirty}
-		c.stamp[s] = c.tick
-		c.tick++
-		c.setIndex(b, s)
-		return
-	}
+	// A fresh slot: excl starts false.
 	c.slots[s] = slot{block: b, prev: nilSlot, next: c.head[set], dirty: dirty}
 	if c.head[set] != nilSlot {
 		c.slots[c.head[set]].prev = s
@@ -311,14 +259,6 @@ func (c *Cache) invalidate(b int64) {
 		c.Stats.Writebacks++
 	}
 	c.index[b] = nilSlot
-	if c.stamp != nil {
-		sl.next = c.free[set]
-		sl.prev = nilSlot
-		sl.dirty = false
-		c.free[set] = s
-		c.resident--
-		return
-	}
 	if sl.prev != nilSlot {
 		c.slots[sl.prev].next = sl.next
 	} else {
@@ -345,3 +285,22 @@ func (c *Cache) Flush() {
 
 // ResetStats zeroes the traffic counters, keeping contents.
 func (c *Cache) ResetStats() { c.Stats = CacheStats{} }
+
+// grow returns s extended to cover index i: at least doubled, never below
+// 1024 entries, with every new entry set to fill.  It backs the dense
+// block-id-keyed slices (the cache index and the machine's holder masks).
+func grow[T any](s []T, i int64, fill T) []T {
+	n := int64(len(s)) * 2
+	if n < i+1 {
+		n = i + 1
+	}
+	if n < 1024 {
+		n = 1024
+	}
+	grown := make([]T, n)
+	copy(grown, s)
+	for j := len(s); j < len(grown); j++ {
+		grown[j] = fill
+	}
+	return grown
+}

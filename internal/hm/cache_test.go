@@ -97,39 +97,48 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-// TestCacheMatchesReferenceLRU cross-checks the linked-list implementation
-// against a straightforward slice-based LRU model.
+// TestCacheMatchesReferenceLRU cross-checks the linked-list LRU against the
+// slice-based reference cache of reference_test.go, op by op: hit or miss,
+// every traffic counter (writebacks included) and the resident set.  It
+// covers a small and a 64-block fully associative cache and a 4-way
+// set-associative one, under loads only and under mixed loads, stores and
+// invalidations.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
-	const capBlocks = 8
-	c := newTestCache(capBlocks, 8)
-	var ref []int64 // ref[0] is MRU
-	refAccess := func(b int64) bool {
-		for i, x := range ref {
-			if x == b {
-				ref = append(ref[:i], ref[i+1:]...)
-				ref = append([]int64{b}, ref...)
-				return true
+	cases := []struct {
+		name      string
+		capBlocks int64
+		ways      int
+		blocks    int  // accesses draw block ids from [0, blocks)
+		writes    bool // half the accesses are stores, some invalidate
+	}{
+		{"8-loads", 8, 0, 20, false},
+		{"64-writes", 64, 0, 100, true},
+		{"64x4way-writes", 64, 4, 160, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Cache{Level: 1, Index: 0, Block: 8, Cap: tc.capBlocks, Ways: tc.ways}
+			ref := newRefCache(tc.capBlocks, 8, tc.ways)
+			rng := rand.New(rand.NewSource(42))
+			for k := 0; k < 20000; k++ {
+				b := int64(rng.Intn(tc.blocks))
+				if tc.writes && rng.Intn(16) == 0 {
+					c.invalidate(b)
+					ref.invalidate(b)
+				} else {
+					write := tc.writes && rng.Intn(2) == 0
+					if got, want := c.access(b, write), ref.access(b, write); got != want {
+						t.Fatalf("step %d block %d: hit=%v want %v", k, b, got, want)
+					}
+				}
+				if err := ref.matches(c); err != nil {
+					t.Fatalf("step %d: %v", k, err)
+				}
 			}
-		}
-		ref = append([]int64{b}, ref...)
-		if len(ref) > capBlocks {
-			ref = ref[:capBlocks]
-		}
-		return false
-	}
-	rng := rand.New(rand.NewSource(42))
-	for k := 0; k < 5000; k++ {
-		b := int64(rng.Intn(20))
-		gotHit := c.access(b, false)
-		wantHit := refAccess(b)
-		if gotHit != wantHit {
-			t.Fatalf("step %d block %d: hit=%v want %v", k, b, gotHit, wantHit)
-		}
-	}
-	for _, b := range ref {
-		if !c.Contains(b) {
-			t.Fatalf("reference holds %d but cache does not", b)
-		}
+			if c.Stats.Evictions == 0 || tc.writes && c.Stats.Writebacks == 0 {
+				t.Fatalf("stream too tame: %+v", c.Stats)
+			}
+		})
 	}
 }
 

@@ -171,6 +171,17 @@ func (m *Machine) HeapWords() int64 { return int64(m.heap) }
 
 // access walks core's cache path from level 1 upward, stopping at the first
 // hit (or memory), installing the block into every missed level on the path.
+//
+// With coherence on, a write runs invalidateOffPath and then sets the
+// exclusive-write mark (slot.excl) on the writer's L1 copy.  Invariant:
+// excl on core c's L1 slot for block x means that at every level i,
+// holders[i][x's level-i block] has no bits outside ownMask[c][i] — so
+// invalidateOffPath would find nothing, and a write hitting a marked slot
+// skips it.  Holder bits are added only by setHolder, which first clears
+// every mark the new bit breaks; they are removed only by
+// invalidateOffPath and FlushCaches.  InjectCacheFault leaves stale bits
+// behind but adds none.  A fresh slot starts unmarked.  Without coherence
+// (holders == nil) the mark is never set.
 func (m *Machine) access(core int, a Addr, write bool) {
 	m.Accesses++
 	path := m.path[core]
@@ -183,13 +194,22 @@ func (m *Machine) access(core int, a Addr, write bool) {
 			c1.Stats.Hits++
 			c1.touch(c1.setOf(b), s)
 			if write {
-				c1.slots[s].dirty = true
-				if m.holders != nil {
+				sl := &c1.slots[s]
+				sl.dirty = true
+				if m.holders != nil && !sl.excl {
 					m.invalidateOffPath(core, a)
+					sl.excl = true
 				}
 			}
 			return
 		}
+	}
+	// A write miss invalidates the off-path copies first: the caches it
+	// touches are disjoint from the path, so the counters are the same in
+	// either order, and setHolder then finds the pruned masks.
+	coherent := write && m.holders != nil
+	if coherent {
+		m.invalidateOffPath(core, a)
 	}
 	for i, c := range path {
 		b := int64(a) >> m.shift[i]
@@ -197,32 +217,66 @@ func (m *Machine) access(core int, a Addr, write bool) {
 			break
 		}
 		if m.holders != nil {
-			m.setHolder(i, b, 1<<uint(c.Index))
+			m.setHolder(i, b, c.Index)
 		}
 	}
-	if write && m.holders != nil {
-		m.invalidateOffPath(core, a)
+	if coherent {
+		c1.slots[c1.lookup(int64(a)>>m.shift[0])].excl = true
 	}
 }
 
-// setHolder marks a level-(i+1) cache as holding block b, growing the dense
-// holder slice on demand.
-func (m *Machine) setHolder(i int, b int64, bit uint64) {
-	h := m.holders[i]
-	if b >= int64(len(h)) {
-		n := int64(len(h)) * 2
-		if n < b+1 {
-			n = b + 1
-		}
-		if n < 1024 {
-			n = 1024
-		}
-		grown := make([]uint64, n)
-		copy(grown, h)
-		h = grown
-		m.holders[i] = h
+// setHolder marks the level-(i+1) cache with index k as holding block b,
+// growing the dense holder slice on demand.  A bit already set leaves the
+// masks unchanged, so every exclusive-write mark still holds; a new bit
+// first clears the marks it breaks.
+func (m *Machine) setHolder(i int, b int64, k int) {
+	if b >= int64(len(m.holders[i])) {
+		m.holders[i] = grow(m.holders[i], b, 0)
 	}
+	h := m.holders[i]
+	bit := uint64(1) << uint(k)
+	if h[b]&bit != 0 {
+		return
+	}
+	m.clearExcl(i, b, k)
 	h[b] |= bit
+}
+
+// clearExcl drops the exclusive-write mark from every L1 copy of the
+// level-1 blocks inside level-(i+1) block b, except copies in the shadow of
+// level-(i+1) cache k, for which k's holder bit is their own.  The copies
+// are found through holders[0]: an L1 holding a block always has its
+// holder bit set, so by the invariant (see access) a marked copy is one
+// whose block's level-1 mask is that L1's bit alone; any other mask has no
+// marked copy.  Caches with !inited are skipped, since after Flush their
+// index is stale.
+func (m *Machine) clearExcl(i int, b int64, k int) {
+	h1 := m.holders[0]
+	d := m.shift[i] - m.shift[0]
+	lo, hi := b<<d, (b+1)<<d
+	if hi > int64(len(h1)) {
+		hi = int64(len(h1))
+	}
+	// The L1s under cache k are [k*per, (k+1)*per).
+	per := len(m.ByLevel[0]) / len(m.ByLevel[i])
+	first := k * per
+	for x := lo; x < hi; x++ {
+		mask := h1[x]
+		if mask == 0 || mask&(mask-1) != 0 {
+			continue
+		}
+		j := bits.TrailingZeros64(mask)
+		if uint(j-first) < uint(per) {
+			continue
+		}
+		c := m.ByLevel[0][j]
+		if !c.inited {
+			continue
+		}
+		if s := c.lookup(x); s != nilSlot {
+			c.slots[s].excl = false
+		}
+	}
 }
 
 // invalidateOffPath models ping-ponging: a write by core invalidates every
