@@ -324,7 +324,14 @@ func NOAlgos() []string {
 // against the Table II formula.  Machine-shape violations (p not dividing
 // n, non-power-of-two PE counts, ...) come back as errors wrapping
 // no.ErrUsage rather than panics, so CLIs can print a usage hint.
-func RunNO(algo string, n, p, b int) (res NOResult, err error) {
+func RunNO(algo string, n, p, b int) (NOResult, error) {
+	res, _, err := runNO(algo, n, p, b)
+	return res, err
+}
+
+// runNO is RunNO that also returns the executed world, so its recorded
+// traffic can be re-costed (World.DBSPTime) under other block sizes.
+func runNO(algo string, n, p, b int) (res NOResult, w *no.World, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok && errors.Is(e, no.ErrUsage) {
@@ -335,7 +342,6 @@ func RunNO(algo string, n, p, b int) (res NOResult, err error) {
 		}
 	}()
 	rng := rand.New(rand.NewSource(7))
-	var w *no.World
 	var predicted float64
 	switch algo {
 	case "mt":
@@ -430,7 +436,7 @@ func RunNO(algo string, n, p, b int) (res NOResult, err error) {
 		predicted = float64(side*side) / (math.Sqrt(float64(p)) * float64(b))
 
 	default:
-		return NOResult{}, fmt.Errorf("unknown NO algorithm %q (have %s)", algo, strings.Join(NOAlgos(), ", "))
+		return NOResult{}, nil, fmt.Errorf("unknown NO algorithm %q (have %s)", algo, strings.Join(NOAlgos(), ", "))
 	}
 	res = NOResult{
 		Algo: algo, N: n, P: p, B: b,
@@ -454,7 +460,7 @@ func RunNO(algo string, n, p, b int) (res NOResult, err error) {
 		}
 		res.DBSPTime = w.DBSPTime(g, bs)
 	}
-	return res, nil
+	return res, w, nil
 }
 
 // ---- shared input builders ----
