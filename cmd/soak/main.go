@@ -71,6 +71,7 @@ var noBadShapes = []struct {
 	{"fft", 1000, 7, 4},
 	{"sort", 1000, 8, 4},
 	{"prefix", 1000, 8, 4},
+	{"ngep", 128, 64, 4},
 }
 
 type metrics struct {

@@ -5,8 +5,9 @@
 //   - oblivious: algorithm packages never see machine parameters
 //     (no internal/hm import, no Session.Machine(), no World.P / World.B),
 //   - determinism: engine/algorithm code draws no wall-clock time, no
-//     unseeded randomness, no map-iteration order, no sync.Map, and spawns
-//     no goroutines outside the sanctioned native entry points,
+//     unseeded randomness, no map-iteration order, no sync.Map, spawns
+//     no goroutines outside the sanctioned native entry points, and
+//     writes no package-level variable outside init,
 //   - hinthygiene: every forked Task carries a non-constant space bound and
 //     every engine-side join is waited on all control paths,
 //   - dataoblivious: packages opting in with //oblivcheck:dataoblivious

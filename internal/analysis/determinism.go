@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -20,10 +21,15 @@ import (
 //   - go statements outside the sanctioned native entry points — the
 //     native-mode executor's worker spawns, each carrying an
 //     //oblivcheck:allow annotation citing its equivalence argument.  The
-//     simulated engine has no go statement: its strands are coroutines.
+//     simulated engine has no go statement: its strands are coroutines,
+//   - writes to package-level variables outside init: assignment, ++/--,
+//     a store through an index or field, and the mutating builtins
+//     (append, copy, clear, delete) on one.  Such state outlives the run
+//     that wrote it, so a later run sees it, and it races under any
+//     concurrent caller; run state belongs on the run's own values.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, or unsanctioned goroutines",
+	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, unsanctioned goroutines, or package-level state written after init",
 	Run:  runDeterminism,
 }
 
@@ -47,15 +53,42 @@ func runDeterminism(pass *Pass) {
 	if !enginePackage(pass.Path) {
 		return
 	}
+	reported := map[*ast.CallExpr]bool{}
 	eachSourceFile(pass, func(f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv == nil && n.Name.Name == "init" {
+					return false // package initialisation may set package state
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for i, lhs := range n.Lhs {
+						v := checkPackageWrite(pass, lhs)
+						if call, ok := rhsCall(n, i); ok && v != nil && len(call.Args) > 0 &&
+							packageVarRoot(pass.TypesInfo, call.Args[0]) == v {
+							reported[call] = true // v = append(v, x): one finding
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				checkPackageWrite(pass, n.X)
 			case *ast.CallExpr:
 				checkDeterministicCall(pass, n)
+				if !reported[n] {
+					checkMutatingBuiltin(pass, n)
+				}
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
 					"go statement outside the sanctioned native entry points: engine scheduling must not depend on runtime goroutine interleaving")
 			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					for _, x := range [2]ast.Expr{n.Key, n.Value} {
+						if x != nil {
+							checkPackageWrite(pass, x)
+						}
+					}
+				}
 				if tv, ok := pass.TypesInfo.Types[n.X]; ok {
 					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 						pass.Reportf(n.Pos(),
@@ -95,4 +128,77 @@ func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
 				"%s.%s draws from the global unseeded source: thread an explicit rand.New(rand.NewSource(seed)) stream instead (see internal/core/chaos.go for the engine-side convention)", fn.Pkg().Name(), fn.Name())
 		}
 	}
+}
+
+// mutatingBuiltins are the builtins that write through their first
+// argument.
+var mutatingBuiltins = map[string]bool{"append": true, "copy": true, "clear": true, "delete": true}
+
+// checkPackageWrite reports an assignment target that stores into a
+// package-level variable, and returns that variable.
+func checkPackageWrite(pass *Pass, target ast.Expr) *types.Var {
+	v := packageVarRoot(pass.TypesInfo, target)
+	if v != nil {
+		pass.Reportf(target.Pos(),
+			"write to package-level variable %s outside init: it outlives the run and races under concurrent callers; keep run state on the run's own values", v.Name())
+	}
+	return v
+}
+
+// rhsCall returns the call assigned to the i'th target, if any.
+func rhsCall(as *ast.AssignStmt, i int) (*ast.CallExpr, bool) {
+	if len(as.Rhs) != len(as.Lhs) {
+		return nil, false
+	}
+	call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
+	return call, ok
+}
+
+// checkMutatingBuiltin reports append/copy/clear/delete on a package-level
+// variable.
+func checkMutatingBuiltin(pass *Pass, call *ast.CallExpr) {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || len(call.Args) == 0 || !mutatingBuiltins[id.Name] {
+		return
+	}
+	if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
+		return
+	}
+	if v := packageVarRoot(pass.TypesInfo, call.Args[0]); v != nil {
+		pass.Reportf(call.Pos(),
+			"%s on package-level variable %s outside init: it outlives the run and races under concurrent callers; keep run state on the run's own values", id.Name, v.Name())
+	}
+}
+
+// packageVarRoot returns the package-level variable that an expression
+// stores into — the variable itself, or the one an index or field
+// selection chain starts from — or nil.
+func packageVarRoot(info *types.Info, x ast.Expr) *types.Var {
+	for {
+		switch e := ast.Unparen(x).(type) {
+		case *ast.Ident:
+			return packageVar(info.Uses[e])
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.SliceExpr:
+			x = e.X
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			if v := packageVar(info.Uses[e.Sel]); v != nil {
+				return v // a qualified pkg.Var
+			}
+			x = e.X
+		default:
+			return nil
+		}
+	}
+}
+
+func packageVar(obj types.Object) *types.Var {
+	v, ok := obj.(*types.Var)
+	if !ok || v.IsField() || v.Pkg() == nil || v.Pkg().Scope().Lookup(v.Name()) != v {
+		return nil
+	}
+	return v
 }

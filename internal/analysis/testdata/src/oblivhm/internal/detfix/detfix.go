@@ -1,6 +1,7 @@
 // Package detfix exercises the determinism analyzer: wall-clock reads,
-// unseeded randomness, map iteration, sync.Map, and goroutine spawns, with
-// seeded/annotated counterparts that must stay silent.
+// unseeded randomness, map iteration, sync.Map, goroutine spawns and
+// writes to package-level variables, with seeded/annotated/local
+// counterparts that must stay silent.
 package detfix
 
 import (
@@ -59,4 +60,85 @@ func SortedKeys(m map[string]int) []string {
 		ks = append(ks, k)
 	}
 	return ks
+}
+
+// Package-level state: written only by init, everything else is flagged.
+var (
+	runs   int
+	ids    = map[string]int{}
+	events []string
+	table  [4]int
+	global stats
+	shared = &stats{}
+)
+
+type stats struct{ n int }
+
+func init() {
+	runs = 0 // package initialisation may set package state
+	ids["seed"] = 1
+	events = append(events, "init")
+}
+
+// Counter bumps a package counter.
+func Counter() int {
+	runs++ // want `write to package-level variable runs outside init`
+	return runs
+}
+
+// Intern assigns ids from a package map, the way a cross-run routing
+// table would.
+func Intern(k string) int {
+	if id, ok := ids[k]; ok {
+		return id
+	}
+	ids[k] = len(ids) // want `write to package-level variable ids`
+	return ids[k]
+}
+
+// Record appends to a package slice.
+func Record(s string) {
+	events = append(events, s) // want `write to package-level variable events`
+}
+
+// Stores writes through an element, a field and a pointer field.
+func Stores() {
+	table[0] = 1         // want `write to package-level variable table`
+	global.n = 2         // want `write to package-level variable global`
+	shared.n += 3        // want `write to package-level variable shared`
+	*shared = stats{}    // want `write to package-level variable shared`
+	for runs = range 3 { // want `write to package-level variable runs`
+	}
+}
+
+// Builtins mutate package state through their first argument.
+func Builtins() {
+	delete(ids, "seed")         // want `delete on package-level variable ids`
+	clear(table[:])             // want `clear on package-level variable table`
+	copy(table[:], []int{1})    // want `copy on package-level variable table`
+	_ = append(events[:0], "x") // want `append on package-level variable events`
+}
+
+// Qualified writes another package's variable.
+func Qualified() {
+	time.Local = time.UTC // want `write to package-level variable Local`
+}
+
+// LocalState shadows, reads and builds local values: all silent.
+func LocalState(st *stats) int {
+	runs := 1
+	runs++
+	ids := map[string]int{}
+	ids["a"] = runs
+	s := stats{}
+	s.n = len(events) + table[0] + global.n + shared.n
+	st.n++
+	buf := append([]string(nil), events...)
+	return s.n + ids["a"] + len(buf)
+}
+
+// SanctionedReset carries the escape hatch with a reason.
+func SanctionedReset() {
+	//oblivcheck:allow determinism: fixture for the annotation escape hatch
+	runs = 0
 }

@@ -154,6 +154,7 @@ func TestInvalidNOShapeReturnsError(t *testing.T) {
 		{"mt", 961, 8, 4},      // p does not divide the n^2 PE count
 		{"sort", 1000, 8, 4},   // N not a power of two
 		{"prefix", 1000, 8, 4}, // N not a power of two
+		{"ngep", 128, 64, 4},   // matrix side 11 is not a power of two
 	}
 	for _, tc := range bad {
 		func() {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -68,6 +69,32 @@ func TestRunNOAllAlgos(t *testing.T) {
 func TestRunNOUnknown(t *testing.T) {
 	if _, err := RunNO("nope", 64, 4, 2); err == nil {
 		t.Error("unknown NO algorithm accepted")
+	}
+}
+
+// TestRunNOConcurrent runs N-GEP on two goroutines at once.  The NO
+// substrate keeps all run state on the World and the Engine, so concurrent
+// runs share nothing (the race detector checks it) and agree with each
+// other.
+func TestRunNOConcurrent(t *testing.T) {
+	var got [2]NOResult
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = RunNO("ngep", 64, 16, 4)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0] != got[1] {
+		t.Errorf("concurrent runs disagree:\n  %v\n  %v", got[0], got[1])
 	}
 }
 

@@ -25,11 +25,12 @@ import (
 )
 
 // ErrUsage is the sentinel wrapped by every machine-shape and PE-count
-// validation failure in this package and package noalgo: p not dividing N,
-// non-power-of-two PE counts, input slices of the wrong length.  The
-// validations panic (the substrate has no error plumbing through the
-// superstep API), but the panic values are errors wrapping ErrUsage, so
-// harness.RunNO recovers them into ordinary returned errors and CLIs can
+// validation failure in this package and packages noalgo and nogep: p not
+// dividing N, non-power-of-two PE counts, input slices of the wrong
+// length, matrix sides that do not fit the PE count.  The validations
+// panic (the substrate has no error plumbing through the superstep API),
+// but the panic values are errors wrapping ErrUsage, so harness.RunNO
+// recovers them into ordinary returned errors and CLIs can
 // errors.Is(err, no.ErrUsage) to print a usage hint instead of a stack
 // trace.
 var ErrUsage = errors.New("invalid machine or input shape")
@@ -47,24 +48,50 @@ type Msg struct {
 }
 
 // World is an M(N) machine executed on M(p,B).
+//
+// Its superstep buffers are reused: inbox and outbox swap at every
+// superstep boundary, and so do the two word arenas that back message
+// payloads, so a superstep allocates only when it sends more than any
+// earlier one did.
 type World struct {
 	N int // PEs
 	P int // processors (must divide N, power of two for D-BSP accounting)
 	B int // block size in words
 
-	inbox  [][]Msg // delivered this superstep
+	per int // PEs per processor
+
+	inbox  [][]Msg // delivered this superstep, per destination PE
 	outbox [][]Msg // sent during the running superstep
+	// inWords and outWords back the payloads of inbox and outbox.
+	inWords, outWords []uint64
 
 	steps   int
 	comm    int64 // Σ h_s with the configured B
 	compTot int64 // Σ max-per-processor work
 
-	work []int64 // per-processor work in the running superstep
+	work []int64 // per-processor work (sent plus received words) this superstep
 
-	// pairWords[s] records cross-processor traffic of superstep s as a map
-	// from src*P+dst to words, for D-BSP re-costing under different block
-	// sizes.
-	pairWords []map[int]int64
+	// Traffic of the processor whose PEs are running: words to each
+	// destination processor, a touched mark (a pair of zero-word messages
+	// still counts toward the D-BSP covering cluster) and the touched
+	// destinations in first-send order.
+	row     []int64
+	rowSeen []bool
+	rowDst  []int32
+
+	// traffic records the cross-processor pairs of every superstep, for
+	// D-BSP re-costing under other block sizes: superstep s is
+	// traffic[stepOff[s]:stepOff[s+1]].
+	traffic []pairRun
+	stepOff []int
+
+	sent, recv []int64 // hRelation scratch, all zero between calls
+}
+
+// pairRun is the words one processor sent another during one superstep.
+type pairRun struct {
+	src, dst int32
+	words    int64
 }
 
 // NewWorld creates an M(N) machine executed on p processors with block
@@ -80,22 +107,30 @@ func NewWorld(n, p, b int) *World {
 		b = 1
 	}
 	return &World{
-		N:     n,
-		P:     p,
-		B:     b,
-		inbox: make([][]Msg, n),
-		work:  make([]int64, p),
+		N:       n,
+		P:       p,
+		B:       b,
+		per:     n / p,
+		inbox:   make([][]Msg, n),
+		outbox:  make([][]Msg, n),
+		work:    make([]int64, p),
+		row:     make([]int64, p),
+		rowSeen: make([]bool, p),
+		stepOff: []int{0},
+		sent:    make([]int64, p),
+		recv:    make([]int64, p),
 	}
 }
 
 // ProcOf returns the processor simulating PE pe (N/p consecutive PEs per
 // processor, as the model prescribes).
-func (w *World) ProcOf(pe int) int { return pe / (w.N / w.P) }
+func (w *World) ProcOf(pe int) int { return pe / w.per }
 
 // Env is the per-PE view during a superstep.
 type Env struct {
-	w  *World
-	pe int
+	w    *World
+	pe   int
+	proc int // processor simulating pe
 }
 
 // PE returns the executing processing element's index.
@@ -106,82 +141,92 @@ func (e *Env) PE() int { return e.pe }
 func (e *Env) N() int { return e.w.N }
 
 // Inbox returns the messages delivered to this PE (sent in the previous
-// superstep), in deterministic (src, send order) order.
+// superstep), in deterministic (src, send order) order.  The messages and
+// their payloads are valid until the running superstep returns: the World
+// reuses their storage for the superstep after it, so a caller that needs
+// one longer copies it.
 func (e *Env) Inbox() []Msg { return e.w.inbox[e.pe] }
 
 // Send queues a message for delivery at the start of the next superstep.
-// The payload is copied.  One unit of work is charged per word.
+// The payload is copied.  One unit of work is charged per word, to the
+// sending and to the receiving processor.
 func (e *Env) Send(dst, tag int, data ...uint64) {
-	if dst < 0 || dst >= e.w.N {
-		panic(fmt.Sprintf("no: send to PE %d of %d", dst, e.w.N))
+	w := e.w
+	if dst < 0 || dst >= w.N {
+		panic(fmt.Sprintf("no: send to PE %d of %d", dst, w.N))
 	}
-	cp := append([]uint64(nil), data...)
-	e.w.outbox[dst] = append(e.w.outbox[dst], Msg{Src: e.pe, Tag: tag, Data: cp})
-	e.w.work[e.w.ProcOf(e.pe)] += int64(len(data))
+	lo := len(w.outWords)
+	w.outWords = append(w.outWords, data...)
+	hi := len(w.outWords)
+	w.outbox[dst] = append(w.outbox[dst], Msg{Src: e.pe, Tag: tag, Data: w.outWords[lo:hi:hi]})
+	words := int64(len(data))
+	dp := dst / w.per
+	w.work[e.proc] += words
+	w.work[dp] += words
+	if dp != e.proc {
+		if !w.rowSeen[dp] {
+			w.rowSeen[dp] = true
+			w.rowDst = append(w.rowDst, int32(dp))
+		}
+		w.row[dp] += words
+	}
 }
 
 // Work charges n local operations to the executing PE's processor.
-func (e *Env) Work(n int64) { e.w.work[e.w.ProcOf(e.pe)] += n }
+func (e *Env) Work(n int64) { e.w.work[e.proc] += n }
 
 // Step runs one superstep: f is invoked for every PE (in index order —
 // the simulation is sequential and deterministic), messages sent during the
 // superstep are delivered at the next one, and the communication accounts
 // are updated.
 func (w *World) Step(f func(e *Env)) {
-	w.outbox = make([][]Msg, w.N)
-	for i := range w.work {
-		w.work[i] = 0
+	for i := range w.outbox {
+		w.outbox[i] = w.outbox[i][:0]
 	}
+	w.outWords = w.outWords[:0]
+	clear(w.work)
 	env := Env{w: w}
-	for pe := 0; pe < w.N; pe++ {
-		env.pe = pe
-		f(&env)
-	}
-	// Account the traffic.
-	pairs := make(map[int]int64)
-	recvWork := make([]int64, w.P)
-	for dst := 0; dst < w.N; dst++ {
-		for _, m := range w.outbox[dst] {
-			sp, dp := w.ProcOf(m.Src), w.ProcOf(dst)
-			recvWork[dp] += int64(len(m.Data))
-			if sp != dp {
-				pairs[sp*w.P+dp] += int64(len(m.Data))
-			}
+	// PEs run in index order, so each processor's sends are contiguous and
+	// its row of pair traffic is complete when its last PE returns.
+	for sp := 0; sp < w.P; sp++ {
+		env.proc = sp
+		for pe := sp * w.per; pe < (sp+1)*w.per; pe++ {
+			env.pe = pe
+			f(&env)
 		}
+		for _, dp := range w.rowDst {
+			w.traffic = append(w.traffic, pairRun{src: int32(sp), dst: dp, words: w.row[dp]})
+			w.row[dp] = 0
+			w.rowSeen[dp] = false
+		}
+		w.rowDst = w.rowDst[:0]
 	}
-	w.pairWords = append(w.pairWords, pairs)
-	w.comm += hRelation(pairs, w.P, int64(w.B))
+	w.comm += w.hRelation(w.traffic[w.stepOff[w.steps]:], int64(w.B))
+	w.stepOff = append(w.stepOff, len(w.traffic))
 	maxWork := int64(0)
-	for i := range w.work {
-		if t := w.work[i] + recvWork[i]; t > maxWork {
-			maxWork = t
-		}
+	for _, t := range w.work {
+		maxWork = max(maxWork, t)
 	}
 	w.compTot += maxWork
 	w.steps++
-	w.inbox = w.outbox
-	w.outbox = nil
+	w.inbox, w.outbox = w.outbox, w.inbox
+	w.inWords, w.outWords = w.outWords, w.inWords
 }
 
 // hRelation computes h_s = max over processors of max(sent, received)
 // blocks for the given pair traffic and block size.
-func hRelation(pairs map[int]int64, p int, b int64) int64 {
-	sent := make([]int64, p)
-	recv := make([]int64, p)
-	//oblivcheck:allow determinism: commutative accumulation — per-processor sums are order-independent
-	for key, words := range pairs {
-		blocks := (words + b - 1) / b
-		sent[key/p] += blocks
-		recv[key%p] += blocks
+func (w *World) hRelation(runs []pairRun, b int64) int64 {
+	for _, r := range runs {
+		blocks := (r.words + b - 1) / b
+		w.sent[r.src] += blocks
+		w.recv[r.dst] += blocks
 	}
+	// The first run naming a processor sees its full total; zeroing it
+	// there leaves the scratch clear for the next call.
 	h := int64(0)
-	for i := 0; i < p; i++ {
-		if sent[i] > h {
-			h = sent[i]
-		}
-		if recv[i] > h {
-			h = recv[i]
-		}
+	for _, r := range runs {
+		h = max(h, w.sent[r.src], w.recv[r.dst])
+		w.sent[r.src], w.recv[r.dst] = 0, 0
 	}
 	return h
 }
@@ -213,27 +258,23 @@ func (w *World) DBSPTime(g []float64, bs []int64) float64 {
 		panic("no: need g and B vectors of length log2(P)")
 	}
 	total := 0.0
-	for _, pairs := range w.pairWords {
-		if len(pairs) == 0 {
+	for s := 0; s < w.steps; s++ {
+		runs := w.traffic[w.stepOff[s]:w.stepOff[s+1]]
+		if len(runs) == 0 {
 			continue
 		}
 		// Smallest cluster size 2^k covering every (src,dst) pair.
 		k := 0
-		//oblivcheck:allow determinism: commutative maximum — the covering cluster size is order-independent
-		for key := range pairs {
-			s, d := key/w.P, key%w.P
-			for s>>k != d>>k {
+		for _, r := range runs {
+			for r.src>>k != r.dst>>k {
 				k++
 			}
-		}
-		if k == 0 {
-			continue // same processor (cannot happen: pairs are cross-proc)
 		}
 		i := logP - k // cluster size 2^k ⇔ level i with 2^i clusters
 		if i < 0 {
 			i = 0
 		}
-		total += float64(hRelation(pairs, w.P, bs[i])) * g[i]
+		total += float64(w.hRelation(runs, bs[i])) * g[i]
 	}
 	return total
 }

@@ -1,6 +1,9 @@
 package no
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestMessageDelivery(t *testing.T) {
 	w := NewWorld(8, 2, 4)
@@ -212,6 +215,210 @@ func TestInboxOrderDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("inbox order differs between identical runs")
+		}
+	}
+}
+
+// TestInboxSurvivesSends: a PE that sends during a superstep still reads
+// its inbox payload intact — the outbox arena the sends fill never
+// aliases the inbox arena, however much it grows.
+func TestInboxSurvivesSends(t *testing.T) {
+	const n = 8
+	w := NewWorld(n, 2, 2)
+	payload := func(src, k int) uint64 { return uint64(1000*src + k) }
+	w.Step(func(e *Env) {
+		e.Send((e.PE()+1)%n, 1, payload(e.PE(), 0), payload(e.PE(), 1), payload(e.PE(), 2))
+	})
+	for round := 0; round < 3; round++ {
+		w.Step(func(e *Env) {
+			in := e.Inbox()
+			if len(in) != 1 {
+				t.Fatalf("PE %d: %d messages, want 1", e.PE(), len(in))
+			}
+			// Send far more words than the inbox holds, then re-read it.
+			big := make([]uint64, 64)
+			for i := range big {
+				big[i] = ^uint64(i)
+			}
+			for k := 0; k < 4; k++ {
+				e.Send((e.PE()+3)%n, 9, big...)
+			}
+			src := (e.PE() + n - 1) % n
+			m := in[0]
+			if m.Src != src || len(m.Data) != 3 {
+				t.Fatalf("PE %d: got message %+v from %d", e.PE(), m, src)
+			}
+			for k, v := range m.Data {
+				if v != payload(src, k) {
+					t.Fatalf("round %d PE %d: payload word %d = %d, want %d", round, e.PE(), k, v, payload(src, k))
+				}
+			}
+			// Restore the ring for the next round.
+			e.Send((e.PE()+1)%n, 1, payload(e.PE(), 0), payload(e.PE(), 1), payload(e.PE(), 2))
+		})
+		// Drop the bulk traffic so the next round sees only the ring.
+		w.Step(func(e *Env) {
+			var ring []uint64
+			for _, m := range e.Inbox() {
+				if m.Tag == 1 {
+					ring = append(ring, m.Data...)
+				}
+			}
+			e.Send((e.PE()+1)%n, 1, payload(e.PE(), 0), payload(e.PE(), 1), payload(e.PE(), 2))
+			if len(ring) != 3 {
+				t.Fatalf("PE %d: ring payload %v", e.PE(), ring)
+			}
+		})
+	}
+}
+
+// naiveWorld recomputes a World's accounts the straightforward way: one
+// map of cross-processor words per superstep.
+type naiveWorld struct {
+	n, p, b int
+	steps   []map[int]int64
+	comm    int64
+	comp    int64
+}
+
+func (nw *naiveWorld) procOf(pe int) int { return pe / (nw.n / nw.p) }
+
+func naiveH(pairs map[int]int64, p int, b int64) int64 {
+	sent := make([]int64, p)
+	recv := make([]int64, p)
+	for key, words := range pairs {
+		blocks := (words + b - 1) / b
+		sent[key/p] += blocks
+		recv[key%p] += blocks
+	}
+	h := int64(0)
+	for i := 0; i < p; i++ {
+		h = max(h, sent[i], recv[i])
+	}
+	return h
+}
+
+// step accounts one superstep; sends[pe] lists (dst, words) per message.
+func (nw *naiveWorld) step(sends [][][2]int, work []int64) {
+	pairs := map[int]int64{}
+	load := make([]int64, nw.p)
+	for pe, ms := range sends {
+		load[nw.procOf(pe)] += work[pe]
+		for _, m := range ms {
+			sp, dp := nw.procOf(pe), nw.procOf(m[0])
+			load[sp] += int64(m[1])
+			load[dp] += int64(m[1])
+			if sp != dp {
+				pairs[sp*nw.p+dp] += int64(m[1])
+			}
+		}
+	}
+	nw.steps = append(nw.steps, pairs)
+	nw.comm += naiveH(pairs, nw.p, int64(nw.b))
+	maxLoad := int64(0)
+	for _, l := range load {
+		maxLoad = max(maxLoad, l)
+	}
+	nw.comp += maxLoad
+}
+
+func (nw *naiveWorld) dbsp(g []float64, bs []int64) float64 {
+	logP := len(g)
+	total := 0.0
+	for _, pairs := range nw.steps {
+		if len(pairs) == 0 {
+			continue
+		}
+		k := 0
+		for key := range pairs {
+			for (key/nw.p)>>k != (key%nw.p)>>k {
+				k++
+			}
+		}
+		total += float64(naiveH(pairs, nw.p, bs[logP-k])) * g[logP-k]
+	}
+	return total
+}
+
+// TestAccountsMatchNaive drives random traffic — intra-processor,
+// zero-word and multi-message — through a World and checks Comm,
+// Computation, Supersteps, message delivery and DBSPTime (uniform and
+// per-level block sizes) against the map-based recomputation.
+func TestAccountsMatchNaive(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		logN := 2 + rng.Intn(4)
+		n := 1 << logN
+		logP := 1 + rng.Intn(logN)
+		p := 1 << logP
+		b := 1 + rng.Intn(5)
+		w := NewWorld(n, p, b)
+		nw := &naiveWorld{n: n, p: p, b: b}
+		var prev [][][2]int // sends of the previous superstep
+		for s := 0; s < 1+rng.Intn(6); s++ {
+			sends := make([][][2]int, n)
+			work := make([]int64, n)
+			for pe := range sends {
+				for k := rng.Intn(4); k > 0; k-- {
+					dst := rng.Intn(n)
+					if rng.Intn(3) == 0 {
+						dst = pe ^ rng.Intn(n/p) // stays on pe's processor
+					}
+					sends[pe] = append(sends[pe], [2]int{dst, rng.Intn(3) * rng.Intn(6)})
+				}
+				work[pe] = int64(rng.Intn(3))
+			}
+			w.Step(func(e *Env) {
+				var want []Msg
+				for src, ms := range prev {
+					for k, m := range ms {
+						if m[0] == e.PE() {
+							want = append(want, Msg{Src: src, Tag: k, Data: make([]uint64, m[1])})
+						}
+					}
+				}
+				got := e.Inbox()
+				if len(got) != len(want) {
+					t.Fatalf("seed %d: PE %d got %d messages, want %d", seed, e.PE(), len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Src != want[i].Src || got[i].Tag != want[i].Tag || len(got[i].Data) != len(want[i].Data) {
+						t.Fatalf("seed %d: PE %d message %d = %+v, want %+v", seed, e.PE(), i, got[i], want[i])
+					}
+					for j, v := range got[i].Data {
+						if v != uint64(got[i].Src<<16|got[i].Tag<<8|j) {
+							t.Fatalf("seed %d: PE %d message %d word %d = %#x", seed, e.PE(), i, j, v)
+						}
+					}
+				}
+				e.Work(work[e.PE()])
+				for k, m := range sends[e.PE()] {
+					data := make([]uint64, m[1])
+					for j := range data {
+						data[j] = uint64(e.PE()<<16 | k<<8 | j)
+					}
+					e.Send(m[0], k, data...)
+				}
+			})
+			nw.step(sends, work)
+			prev = sends
+		}
+		if w.Comm() != nw.comm || w.Computation() != nw.comp || w.Supersteps() != len(nw.steps) {
+			t.Fatalf("seed %d (N=%d p=%d B=%d): comm/comp/steps = %d/%d/%d, naive %d/%d/%d",
+				seed, n, p, b, w.Comm(), w.Computation(), w.Supersteps(), nw.comm, nw.comp, len(nw.steps))
+		}
+		g := make([]float64, logP)
+		uniform := make([]int64, logP)
+		perLevel := make([]int64, logP)
+		for i := range g {
+			g[i] = float64(int64(1) << uint(logP-i))
+			uniform[i] = int64(b)
+			perLevel[i] = 1 + int64(rng.Intn(6))
+		}
+		for _, bs := range [][]int64{uniform, perLevel} {
+			if got, want := w.DBSPTime(g, bs), nw.dbsp(g, bs); got != want {
+				t.Fatalf("seed %d (N=%d p=%d): DBSPTime(bs=%v) = %v, naive %v", seed, n, p, bs, got, want)
+			}
 		}
 	}
 }

@@ -19,7 +19,6 @@
 package nogep
 
 import (
-	"fmt"
 	"math"
 
 	"oblivhm/internal/bitint"
@@ -84,7 +83,56 @@ type Engine struct {
 	W        *no.World
 	Spec     gep.Spec
 	UseDStar bool
+
+	// Scratch reused by every localisation and base-case superstep.
+	copies  []copyOp
+	payload []uint64
+	sendIdx peIndex // source PE -> copies it sends from
+	callIdx peIndex // executing PE -> base-case calls
 }
+
+// copyOp routes the slots of src into the fresh buffer dst.
+type copyOp struct {
+	src view
+	dst *buf
+}
+
+// peIndex maps each PE to the ids of the items whose PE span covers it,
+// in increasing id order (compressed sparse rows).
+type peIndex struct {
+	off []int32 // PE pe owns ids[off[pe]:off[pe+1]]
+	ids []int32
+}
+
+// build indexes items 0..count-1 over n PEs; span gives each item's PE
+// interval.
+func (x *peIndex) build(n, count int, span func(i int) (lo, hi int)) {
+	x.off = append(x.off[:0], make([]int32, n+1)...)
+	for i := 0; i < count; i++ {
+		lo, hi := span(i)
+		for pe := lo; pe < hi; pe++ {
+			x.off[pe+1]++
+		}
+	}
+	for pe := 0; pe < n; pe++ {
+		x.off[pe+1] += x.off[pe]
+	}
+	x.ids = append(x.ids[:0], make([]int32, x.off[n])...)
+	// Fill with off[pe] as pe's cursor, which leaves off[pe] at pe's end;
+	// shifting restores the starts.
+	for i := 0; i < count; i++ {
+		lo, hi := span(i)
+		for pe := lo; pe < hi; pe++ {
+			x.ids[x.off[pe]] = int32(i)
+			x.off[pe]++
+		}
+	}
+	copy(x.off[1:], x.off[:n])
+	x.off[0] = 0
+}
+
+// of returns the ids indexed at pe.
+func (x *peIndex) of(pe int) []int32 { return x.ids[x.off[pe]:x.off[pe+1]] }
 
 // call is one pending function invocation.
 type call struct {
@@ -121,7 +169,7 @@ func (g *Engine) RunMatMul(m int, cin, a, b []float64) []float64 {
 func (g *Engine) distribute(m int, host []float64) *buf {
 	n := g.W.N
 	if !bitint.IsPow2(m) || m*m%n != 0 || m*m < n {
-		panic(fmt.Sprintf("nogep: need power-of-two m with m² >= N and N | m² (m=%d, N=%d)", m, n))
+		panic(no.Usagef("nogep: need power-of-two m with m² >= N and N | m² (m=%d, N=%d)", m, n))
 	}
 	b := newBuf(0, n, m)
 	for i := 0; i < m; i++ {
@@ -292,11 +340,7 @@ func (g *Engine) expand(c call, ph int) []call {
 // alias the call's X (or a previously localized operand of the same call)
 // are shared, not copied.
 func (g *Engine) localize(calls []call) []call {
-	type cp struct {
-		src view
-		dst *buf
-	}
-	var copies []cp
+	copies := g.copies[:0]
 	out := make([]call, len(calls))
 	for ci, c := range calls {
 		lo, hi := c.x.peRange()
@@ -329,26 +373,28 @@ func (g *Engine) localize(calls []call) []call {
 				dq = op.M * op.M
 			}
 			dst := newBuf(lo, dq, op.M)
-			copies = append(copies, cp{src: *op, dst: dst})
+			copies = append(copies, copyOp{src: *op, dst: dst})
 			done = append(done, *op)
 			dsts = append(dsts, dst)
 			*op = view{B: dst, SB: 0, M: op.M}
 		}
 		out[ci] = c
 	}
+	g.copies = copies
 	if len(copies) == 0 {
 		return out
 	}
 	// One combined routing phase: every PE sends the contiguous runs of
-	// source slots it owns; receivers store into their local slots.
+	// source slots it owns, each message headed by the copy's index in
+	// copies (ids are local to this phase); receivers store into their
+	// local slots.
 	w := g.W
+	g.sendIdx.build(w.N, len(copies), func(i int) (int, int) { return copies[i].src.peRange() })
 	w.Step(func(e *no.Env) {
 		pe := e.PE()
-		for _, t := range copies {
+		for _, id := range g.sendIdx.of(pe) {
+			t := &copies[id]
 			b := t.src.B
-			if pe < b.Lo || pe >= b.Lo+b.Q {
-				continue
-			}
 			mySlotLo := (pe - b.Lo) * b.SlotsPer
 			mySlotHi := mySlotLo + b.SlotsPer
 			lo := max(mySlotLo, t.src.SB)
@@ -357,12 +403,12 @@ func (g *Engine) localize(calls []call) []call {
 				dz := z - t.src.SB // destination slot
 				dpe := t.dst.Lo + dz/t.dst.SlotsPer
 				runEnd := min(hi, z+(t.dst.SlotsPer-dz%t.dst.SlotsPer))
-				payload := make([]uint64, 0, 2+runEnd-z)
-				payload = append(payload, uint64(bufID(t.dst)), uint64(dz%t.dst.SlotsPer))
+				payload := append(g.payload[:0], uint64(id), uint64(dz%t.dst.SlotsPer))
 				for zz := z; zz < runEnd; zz++ {
 					payload = append(payload, f2u(b.Data[pe-b.Lo][zz-mySlotLo]))
 				}
 				e.Send(dpe, 0, payload...)
+				g.payload = payload
 				z = runEnd
 			}
 		}
@@ -370,19 +416,10 @@ func (g *Engine) localize(calls []call) []call {
 	w.Step(func(e *no.Env) {
 		pe := e.PE()
 		for _, m := range e.Inbox() {
-			id := int(m.Data[0])
+			dst := copies[m.Data[0]].dst
 			loc := int(m.Data[1])
-			for _, t := range copies {
-				if bufID(t.dst) != id {
-					continue
-				}
-				if pe < t.dst.Lo || pe >= t.dst.Lo+t.dst.Q {
-					continue
-				}
-				for k, wv := range m.Data[2:] {
-					t.dst.Data[pe-t.dst.Lo][loc+k] = u2f(wv)
-				}
-				break
+			for k, wv := range m.Data[2:] {
+				dst.Data[pe-dst.Lo][loc+k] = u2f(wv)
 			}
 		}
 	})
@@ -393,13 +430,13 @@ func (g *Engine) localize(calls []call) []call {
 // owning PE) in one superstep, in the canonical k,i,j order.
 func (g *Engine) baseCompute(calls []call) {
 	w := g.W
+	g.callIdx.build(w.N, len(calls), func(i int) (int, int) {
+		lo, _ := calls[i].x.peRange()
+		return lo, lo + 1
+	})
 	w.Step(func(e *no.Env) {
-		pe := e.PE()
-		for _, c := range calls {
-			lo, _ := c.x.peRange()
-			if lo != pe {
-				continue
-			}
+		for _, id := range g.callIdx.of(e.PE()) {
+			c := &calls[id]
 			m := c.x.M
 			for k := 0; k < m; k++ {
 				for i := 0; i < m; i++ {
@@ -414,20 +451,6 @@ func (g *Engine) baseCompute(calls []call) {
 			}
 		}
 	})
-}
-
-// bufID gives a stable per-buf identity for message routing within one
-// localisation phase.
-var bufIDs = map[*buf]int{}
-var nextBufID int
-
-func bufID(b *buf) int {
-	if id, ok := bufIDs[b]; ok {
-		return id
-	}
-	nextBufID++
-	bufIDs[b] = nextBufID
-	return nextBufID
 }
 
 func f2u(x float64) uint64 { return math.Float64bits(x) }
