@@ -22,11 +22,11 @@ import (
 //     native-mode executor's worker spawns, each carrying an
 //     //oblivcheck:allow annotation citing its equivalence argument.  The
 //     simulated engine has no go statement: its strands are coroutines,
-//   - writes to package-level variables outside init: assignment, ++/--,
-//     a store through an index or field, and the mutating builtins
-//     (append, copy, clear, delete) on one.  Such state outlives the run
-//     that wrote it, so a later run sees it, and it races under any
-//     concurrent caller; run state belongs on the run's own values.
+//   - writes to package-level variables outside init: assignment
+//     (v = append(v, x) included), ++/--, a store through an index, field
+//     or pointer, and copy, clear or delete into one.  Such state outlives
+//     the run that wrote it, so a later run sees it, and it races under
+//     any concurrent caller; run state belongs on the run's own values.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, unsanctioned goroutines, or package-level state written after init",
@@ -53,7 +53,6 @@ func runDeterminism(pass *Pass) {
 	if !enginePackage(pass.Path) {
 		return
 	}
-	reported := map[*ast.CallExpr]bool{}
 	eachSourceFile(pass, func(f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -63,21 +62,15 @@ func runDeterminism(pass *Pass) {
 				}
 			case *ast.AssignStmt:
 				if n.Tok != token.DEFINE {
-					for i, lhs := range n.Lhs {
-						v := checkPackageWrite(pass, lhs)
-						if call, ok := rhsCall(n, i); ok && v != nil && len(call.Args) > 0 &&
-							packageVarRoot(pass.TypesInfo, call.Args[0]) == v {
-							reported[call] = true // v = append(v, x): one finding
-						}
+					for _, lhs := range n.Lhs {
+						checkPackageWrite(pass, lhs)
 					}
 				}
 			case *ast.IncDecStmt:
 				checkPackageWrite(pass, n.X)
 			case *ast.CallExpr:
 				checkDeterministicCall(pass, n)
-				if !reported[n] {
-					checkMutatingBuiltin(pass, n)
-				}
+				checkMutatingBuiltin(pass, n)
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
 					"go statement outside the sanctioned native entry points: engine scheduling must not depend on runtime goroutine interleaving")
@@ -131,30 +124,19 @@ func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
 }
 
 // mutatingBuiltins are the builtins that write through their first
-// argument.
-var mutatingBuiltins = map[string]bool{"append": true, "copy": true, "clear": true, "delete": true}
+// argument without an assignment.
+var mutatingBuiltins = map[string]bool{"copy": true, "clear": true, "delete": true}
 
 // checkPackageWrite reports an assignment target that stores into a
-// package-level variable, and returns that variable.
-func checkPackageWrite(pass *Pass, target ast.Expr) *types.Var {
-	v := packageVarRoot(pass.TypesInfo, target)
-	if v != nil {
+// package-level variable.
+func checkPackageWrite(pass *Pass, target ast.Expr) {
+	if v := packageVarRoot(pass.TypesInfo, target); v != nil {
 		pass.Reportf(target.Pos(),
 			"write to package-level variable %s outside init: it outlives the run and races under concurrent callers; keep run state on the run's own values", v.Name())
 	}
-	return v
 }
 
-// rhsCall returns the call assigned to the i'th target, if any.
-func rhsCall(as *ast.AssignStmt, i int) (*ast.CallExpr, bool) {
-	if len(as.Rhs) != len(as.Lhs) {
-		return nil, false
-	}
-	call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-	return call, ok
-}
-
-// checkMutatingBuiltin reports append/copy/clear/delete on a package-level
+// checkMutatingBuiltin reports copy/clear/delete into a package-level
 // variable.
 func checkMutatingBuiltin(pass *Pass, call *ast.CallExpr) {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
@@ -171,8 +153,8 @@ func checkMutatingBuiltin(pass *Pass, call *ast.CallExpr) {
 }
 
 // packageVarRoot returns the package-level variable that an expression
-// stores into — the variable itself, or the one an index or field
-// selection chain starts from — or nil.
+// stores into — the variable itself, or the one an index, slice, field or
+// dereference chain starts from — or nil.
 func packageVarRoot(info *types.Info, x ast.Expr) *types.Var {
 	for {
 		switch e := ast.Unparen(x).(type) {

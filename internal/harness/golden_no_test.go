@@ -12,12 +12,8 @@ package harness
 //	go test ./internal/harness -run TestGoldenNO -update
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -79,42 +75,5 @@ func TestGoldenNO(t *testing.T) {
 			got[fmt.Sprintf("%s/n%d/p%d/b%d", algo, n, sh.p, sh.b)] = measureNO(t, algo, n, sh.p, sh.b)
 		}
 	}
-	path := filepath.Join("testdata", "golden_no.json")
-	if *update {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d snapshots to %s", len(got), path)
-		return
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden snapshot %s (run with -update to create): %v", path, err)
-	}
-	want := map[string]goldenNO{}
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("corrupt golden snapshot %s: %v", path, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s: snapshot has %d entries, suite has %d", path, len(want), len(got))
-	}
-	var keys []string
-	for k := range got {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w, ok := want[k]
-		if !ok {
-			t.Errorf("%s: no snapshot for %s", path, k)
-			continue
-		}
-		if !reflect.DeepEqual(w, got[k]) {
-			t.Errorf("%s: NO counts drifted:\n  want %+v\n  got  %+v", k, w, got[k])
-		}
-	}
+	checkGolden(t, filepath.Join("testdata", "golden_no.json"), got)
 }

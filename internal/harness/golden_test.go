@@ -152,48 +152,54 @@ func TestGoldenMetrics(t *testing.T) {
 			for _, gc := range cases {
 				got[gc.key()] = measure(t, machine, gc)
 			}
-			path := goldenPath(machine)
-			if *update {
-				buf, err := json.MarshalIndent(got, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %d snapshots to %s", len(got), path)
-				return
-			}
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden snapshot %s (run with -update to create): %v", path, err)
-			}
-			want := map[string]goldenMetrics{}
-			if err := json.Unmarshal(buf, &want); err != nil {
-				t.Fatalf("corrupt golden snapshot %s: %v", path, err)
-			}
-			if len(want) != len(got) {
-				t.Errorf("%s: snapshot has %d entries, suite has %d (run -update after reviewing)", path, len(want), len(got))
-			}
-			var keys []string
-			for k := range got {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				w, ok := want[k]
-				if !ok {
-					t.Errorf("%s: no snapshot for %s (run -update after reviewing)", path, k)
-					continue
-				}
-				if !reflect.DeepEqual(w, got[k]) {
-					t.Errorf("%s: metrics drifted from the seed engine:\n  want %+v\n  got  %+v", k, w, got[k])
-				}
-			}
+			checkGolden(t, goldenPath(machine), got)
 		})
+	}
+}
+
+// checkGolden compares got against the JSON snapshot at path, or rewrites
+// the snapshot under -update.
+func checkGolden[T any](t *testing.T, path string, got map[string]T) {
+	t.Helper()
+	if *update {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d snapshots to %s", len(got), path)
+		return
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden snapshot %s (run with -update to create): %v", path, err)
+	}
+	want := map[string]T{}
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatalf("corrupt golden snapshot %s: %v", path, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s: snapshot has %d entries, suite has %d (run -update after reviewing)", path, len(want), len(got))
+	}
+	var keys []string
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		w, ok := want[k]
+		if !ok {
+			t.Errorf("%s: no snapshot for %s (run -update after reviewing)", path, k)
+			continue
+		}
+		if !reflect.DeepEqual(w, got[k]) {
+			t.Errorf("%s: metrics drifted from the snapshot:\n  want %+v\n  got  %+v", k, w, got[k])
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package no
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -225,48 +226,39 @@ func TestInboxOrderDeterministic(t *testing.T) {
 func TestInboxSurvivesSends(t *testing.T) {
 	const n = 8
 	w := NewWorld(n, 2, 2)
-	payload := func(src, k int) uint64 { return uint64(1000*src + k) }
-	w.Step(func(e *Env) {
-		e.Send((e.PE()+1)%n, 1, payload(e.PE(), 0), payload(e.PE(), 1), payload(e.PE(), 2))
-	})
-	for round := 0; round < 3; round++ {
+	// ring is what src sends at step; it differs from step to step, so a
+	// payload overwritten by a later superstep's send shows.
+	ring := func(src, step int) []uint64 {
+		return []uint64{uint64(1000*step + src), uint64(1000*step + src + 100), uint64(1000*step + src + 200)}
+	}
+	bulk := make([]uint64, 64)
+	for i := range bulk {
+		bulk[i] = ^uint64(i)
+	}
+	for step := 0; step < 4; step++ {
 		w.Step(func(e *Env) {
 			in := e.Inbox()
-			if len(in) != 1 {
-				t.Fatalf("PE %d: %d messages, want 1", e.PE(), len(in))
-			}
-			// Send far more words than the inbox holds, then re-read it.
-			big := make([]uint64, 64)
-			for i := range big {
-				big[i] = ^uint64(i)
-			}
+			// Send far more words than the inbox holds, then read it.
+			e.Send((e.PE()+1)%n, 1, ring(e.PE(), step)...)
 			for k := 0; k < 4; k++ {
-				e.Send((e.PE()+3)%n, 9, big...)
+				e.Send((e.PE()+3)%n, 2, bulk...)
+			}
+			if step == 0 {
+				return
 			}
 			src := (e.PE() + n - 1) % n
-			m := in[0]
-			if m.Src != src || len(m.Data) != 3 {
-				t.Fatalf("PE %d: got message %+v from %d", e.PE(), m, src)
-			}
-			for k, v := range m.Data {
-				if v != payload(src, k) {
-					t.Fatalf("round %d PE %d: payload word %d = %d, want %d", round, e.PE(), k, v, payload(src, k))
+			got := 0
+			for _, m := range in {
+				if m.Tag != 1 {
+					continue
+				}
+				got++
+				if want := ring(src, step-1); m.Src != src || !slices.Equal(m.Data, want) {
+					t.Fatalf("step %d PE %d: ring message %+v, want %v from %d", step, e.PE(), m, want, src)
 				}
 			}
-			// Restore the ring for the next round.
-			e.Send((e.PE()+1)%n, 1, payload(e.PE(), 0), payload(e.PE(), 1), payload(e.PE(), 2))
-		})
-		// Drop the bulk traffic so the next round sees only the ring.
-		w.Step(func(e *Env) {
-			var ring []uint64
-			for _, m := range e.Inbox() {
-				if m.Tag == 1 {
-					ring = append(ring, m.Data...)
-				}
-			}
-			e.Send((e.PE()+1)%n, 1, payload(e.PE(), 0), payload(e.PE(), 1), payload(e.PE(), 2))
-			if len(ring) != 3 {
-				t.Fatalf("PE %d: ring payload %v", e.PE(), ring)
+			if got != 1 {
+				t.Fatalf("step %d PE %d: %d ring messages, want 1", step, e.PE(), got)
 			}
 		})
 	}
