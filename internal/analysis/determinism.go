@@ -54,48 +54,66 @@ func runDeterminism(pass *Pass) {
 		return
 	}
 	eachSourceFile(pass, func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv == nil && n.Name.Name == "init" {
-					return false // package initialisation may set package state
-				}
-			case *ast.AssignStmt:
-				if n.Tok != token.DEFINE {
-					for _, lhs := range n.Lhs {
-						checkPackageWrite(pass, lhs)
-					}
-				}
-			case *ast.IncDecStmt:
-				checkPackageWrite(pass, n.X)
-			case *ast.CallExpr:
-				checkDeterministicCall(pass, n)
-				checkMutatingBuiltin(pass, n)
-			case *ast.GoStmt:
-				pass.Reportf(n.Pos(),
-					"go statement outside the sanctioned native entry points: engine scheduling must not depend on runtime goroutine interleaving")
-			case *ast.RangeStmt:
-				if n.Tok == token.ASSIGN {
-					for _, x := range [2]ast.Expr{n.Key, n.Value} {
-						if x != nil {
-							checkPackageWrite(pass, x)
-						}
-					}
-				}
-				if tv, ok := pass.TypesInfo.Types[n.X]; ok {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						pass.Reportf(n.Pos(),
-							"iteration over a map: order is randomized per run; iterate a sorted key slice or annotate an order-independent loop")
-					}
-				}
-			case *ast.SelectorExpr:
-				if tv, ok := pass.TypesInfo.Types[n]; ok && tv.IsType() && namedFrom(tv.Type, "sync", "Map") {
-					pass.Reportf(n.Pos(),
-						"sync.Map use: iteration order and interleaving are unspecified; use a plain map behind the engine's round structure")
+		for _, decl := range f.Decls {
+			inspectDeterminism(pass, decl, isInit(decl))
+		}
+	})
+}
+
+// isInit reports whether decl is a package init function, the one place
+// package initialisation may set package state.
+func isInit(decl ast.Decl) bool {
+	fd, ok := decl.(*ast.FuncDecl)
+	return ok && fd.Recv == nil && fd.Name.Name == "init"
+}
+
+// inspectDeterminism walks one top-level declaration. inInit exempts it
+// from the package-write checks only; every other check still runs.
+func inspectDeterminism(pass *Pass, decl ast.Decl, inInit bool) {
+	checkWrite := func(target ast.Expr) {
+		if !inInit {
+			checkPackageWrite(pass, target)
+		}
+	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					checkWrite(lhs)
 				}
 			}
-			return true
-		})
+		case *ast.IncDecStmt:
+			checkWrite(n.X)
+		case *ast.CallExpr:
+			checkDeterministicCall(pass, n)
+			if !inInit {
+				checkMutatingBuiltin(pass, n)
+			}
+		case *ast.GoStmt:
+			pass.Reportf(n.Pos(),
+				"go statement outside the sanctioned native entry points: engine scheduling must not depend on runtime goroutine interleaving")
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, x := range [2]ast.Expr{n.Key, n.Value} {
+					if x != nil {
+						checkWrite(x)
+					}
+				}
+			}
+			if tv, ok := pass.TypesInfo.Types[n.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					pass.Reportf(n.Pos(),
+						"iteration over a map: order is randomized per run; iterate a sorted key slice or annotate an order-independent loop")
+				}
+			}
+		case *ast.SelectorExpr:
+			if tv, ok := pass.TypesInfo.Types[n]; ok && tv.IsType() && namedFrom(tv.Type, "sync", "Map") {
+				pass.Reportf(n.Pos(),
+					"sync.Map use: iteration order and interleaving are unspecified; use a plain map behind the engine's round structure")
+			}
+		}
+		return true
 	})
 }
 

@@ -64,20 +64,30 @@ func SortedKeys(m map[string]int) []string {
 
 // Package-level state: written only by init, everything else is flagged.
 var (
-	runs   int
-	ids    = map[string]int{}
-	events []string
-	table  [4]int
-	global stats
-	shared = &stats{}
+	runs    int
+	ids     = map[string]int{}
+	events  []string
+	table   [4]int
+	global  stats
+	shared  = &stats{}
+	started time.Time
 )
 
 type stats struct{ n int }
 
+// init may set package state, but every other determinism check still
+// applies inside it.
 func init() {
 	runs = 0 // package initialisation may set package state
 	ids["seed"] = 1
 	events = append(events, "init")
+	delete(ids, "unused")
+	started = time.Now() // want `time\.Now reads the wall clock`
+	runs = rand.Intn(10) // want `draws from the global unseeded source`
+	for k := range ids { // want `iteration over a map`
+		events = append(events, k)
+	}
+	go Counter() // want `go statement outside the sanctioned`
 }
 
 // Counter bumps a package counter.

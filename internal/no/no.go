@@ -246,6 +246,8 @@ func (w *World) Computation() int64 { return w.compTot }
 // (every message stays within a cluster of size P/2^i) contributes
 // h_s(B_i)·g_i.  g and bs are indexed by cluster level 0..log2(P)-1;
 // P is the world's processor count, which must be a power of two.
+// DBSPTime works in the World's own scratch, so it is not safe for
+// concurrent use on one World.
 func (w *World) DBSPTime(g []float64, bs []int64) float64 {
 	logP := 0
 	for 1<<logP < w.P {

@@ -347,7 +347,8 @@ func TestAccountsMatchNaive(t *testing.T) {
 		w := NewWorld(n, p, b)
 		nw := &naiveWorld{n: n, p: p, b: b}
 		var prev [][][2]int // sends of the previous superstep
-		for s := 0; s < 1+rng.Intn(6); s++ {
+		steps := 1 + rng.Intn(6)
+		for s := 0; s < steps; s++ {
 			sends := make([][][2]int, n)
 			work := make([]int64, n)
 			for pe := range sends {
