@@ -87,7 +87,7 @@ cover:
 	$(GO) test -cover ./internal/...
 
 # Race-check the engine, the golden-metrics layer and the sweep runner
-# (the packages with real concurrency: strand goroutines, the native
+# (the packages with real concurrency: strand coroutines, the native
 # executor, and the sweep worker pool incl. the rebased cmd/tables).
 race:
 	$(GO) test -race ./internal/core/... ./internal/harness/... ./internal/sweep ./cmd/tables

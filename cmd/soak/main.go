@@ -107,14 +107,18 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	deadline := time.Now().Add(*duration)
 
-	optSets := []struct {
+	// The schedules to sweep, by their harness option-set names.
+	type optSet struct {
 		name string
 		opts []core.Opt
-	}{
-		{"", nil},
-		{"steal", []core.Opt{core.WithStealing()}},
-		{"flat", []core.Opt{core.WithFlatScheduler()}},
-		{"q8", []core.Opt{core.WithQuantum(8)}},
+	}
+	var optSets []optSet
+	for _, name := range []string{"default", "steal", "flat", "q8"} {
+		opts, err := harness.OptionSet(name)
+		if err != nil {
+			fail("%v", err)
+		}
+		optSets = append(optSets, optSet{name, opts})
 	}
 
 	var iters, chaosRuns, detProbes, noRuns, noBad, failRuns int

@@ -26,8 +26,9 @@ import (
 // # Fast path and the determinism contract
 //
 // The engine freezes its observable behaviour — Steps, every per-cache miss
-// counter, PlacedAt, Steals, and the trace event stream — while taking three
-// shortcuts on the hot path (DESIGN.md §7):
+// counter, PlacedAt, Steals, and the trace event stream — while taking two
+// shortcuts on the hot path, plus strand pooling, which cannot affect the
+// schedule (DESIGN.md §6):
 //
 //   - Batched budgets: when a strand is the only runnable strand anywhere
 //     (e.nrun == 0 after it is popped), interleaving cannot be observed, so
@@ -39,16 +40,16 @@ import (
 //     enqueue(), which sets batchAbort).  This is the adaptive quantum: one
 //     live strand runs in arbitrarily long grants, concurrent strands fall
 //     back to the exact per-round lockstep.
-//   - Pooling: strand objects and their coroutines are recycled within a
-//     run.  A pooled coroutine stays suspended in its final yield between
-//     assignments and keeps its grown stack, which matters for the deeply
-//     recursive algorithms.
 //   - Active-core scan: the round loop walks a bitmask of cores with
 //     non-empty run queues (the machine model caps p at 64) instead of
 //     scanning every runq slice; with stealing enabled it falls back to the
 //     full scan because idle cores must get their stealFor turn.
+//   - Pooling: strand objects and their coroutines are recycled within a
+//     run.  A pooled coroutine stays suspended in its final yield between
+//     assignments and keeps its grown stack, which matters for the deeply
+//     recursive algorithms.
 //
-// withReference() disables all of the above so tests can cross-check the
+// withReference() disables the two shortcuts so tests can cross-check the
 // fast path against the seed schedule operation for operation.
 
 type yieldKind int
@@ -56,7 +57,6 @@ type yieldKind int
 const (
 	yBudget  yieldKind = iota // budget exhausted, still runnable
 	yBlocked                  // parked on a join or a cache queue
-	yRequeue                  // inline finish must reorder behind admitted strands
 	yDone                     // function returned (or panicked)
 )
 
@@ -94,21 +94,10 @@ type strand struct {
 	// Failure-recovery state (failures.go).  recov tags a strand whose work
 	// is re-execution after a core death (replacements and their re-forked
 	// descendants), feeding the re-executed work fraction; waitingOn is the
-	// join the strand is parked on, so killStrand can orphan it; inline is
-	// the stack of inline-spawn frames open on the strand's goroutine stack,
-	// so a kill-panic's skipped epilogues can be rolled back.  All three are
+	// join the strand is parked on, so killStrand can orphan it.  Both are
 	// only maintained while failures are enabled.
 	recov     bool
 	waitingOn *join
-	inline    []inlineFrame
-}
-
-// inlineFrame records the engine accounting of one open inline spawn
-// (inlineSB / inlineAnchored): each frame holds a live/load increment, and
-// anchored frames additionally a space reservation at slot.
-type inlineFrame struct {
-	slot  *cacheSlot
-	space int64
 }
 
 // join is a fork-join counter: pending children plus the parked parent.
@@ -293,7 +282,6 @@ func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), 
 		st.started, st.done = false, false
 		st.budget, st.rounds, st.grant = 0, 0, 0
 		st.recov, st.waitingOn = false, nil
-		st.inline = st.inline[:0]
 		st.ctx.core, st.ctx.anchor = core, anchor
 	} else {
 		st = &strand{eng: e, core: core, anchor: anchor, fn: fn, jn: jn}
@@ -619,10 +607,6 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 		leftover = 0
 	case yBlocked:
 		e.trackBlocked(st)
-	case yRequeue:
-		// An inline finish admitted work onto this strand's core; the seed
-		// schedule runs it first, so the strand rejoins at the back.
-		e.enqueue(st)
 	case yDone:
 		// Record a strand failure (first one wins) and finish the strand.
 		if msg.panicked != nil && e.failErr == nil {
@@ -730,13 +714,6 @@ func (e *engine) placeAnchored(slot *cacheSlot, p pending) {
 	slot.queue = append(slot.queue, p)
 	e.qd++
 	e.emit(EvQueue, -1, slot.cache.Level, slot.cache.Index, p.space)
-}
-
-// startsNow reports whether placeAnchored(slot, space) would start the task
-// immediately rather than queueing it in Q(λ).
-func (e *engine) startsNow(slot *cacheSlot, space int64) bool {
-	capWords := slot.cache.Cap * slot.cache.Block
-	return len(slot.queue) == 0 && (slot.used+space <= capWords || slot.anchd == 0)
 }
 
 // ---- fork placement bodies ----
@@ -923,96 +900,6 @@ func (st *strand) chargeSlow() {
 	}
 }
 
-// ---- inline leaf spawns ----
-
-// inlineSB runs the single task t of a SpawnSB inline on the parent strand
-// when the scheduler would have placed it on the parent's own core as the
-// next strand to run, reporting whether it did.  The schedule is provably
-// unchanged: with the parent's run queue empty, the seed engine would park
-// the parent and immediately grant the child the parent's leftover budget on
-// the same core; the child is never stealable (stealing disables this path),
-// and on completion the parent either continues directly (queue still
-// empty — the seed would pop it right back) or requeues itself behind
-// whatever arrived (matching the seed's admit-then-wake order).  All
-// engine accounting the child would have caused — live/load, reservation,
-// placed counts, trace events, the charge(1) spawn cost — is replicated.
-func (c *Ctx) inlineSB(t Task) bool {
-	e := c.s.eng
-	if e.reference || e.steal || !e.runq[c.core].empty() {
-		return false
-	}
-	lam := c.anchor
-	if e.flat {
-		return c.inlineAnchored(e.leastLoadedSlot(lam, 1), t)
-	}
-	if t.Space <= e.m.Cfg.Levels[lam.Level-2].Capacity {
-		j := e.m.SmallestFit(t.Space)
-		return c.inlineAnchored(e.leastLoadedSlot(lam, j), t)
-	}
-	// Nested at λ: no reservation, same anchor.
-	if e.leastLoadedCore(lam) != c.core {
-		return false
-	}
-	c.st.charge(1)
-	e.live++
-	e.load[c.core]++
-	if e.fail != nil {
-		c.st.inline = append(c.st.inline, inlineFrame{})
-	}
-	e.emit(EvNested, c.core, lam.Level, lam.Index, t.Space)
-	t.Fn(c) // child anchor and core equal the parent's
-	if e.fail != nil {
-		c.st.inline = c.st.inline[:len(c.st.inline)-1]
-	}
-	e.emit(EvDone, c.core, 0, 0, 0)
-	e.live--
-	e.load[c.core]--
-	c.inlineRejoin()
-	return true
-}
-
-// inlineAnchored is the anchored half of inlineSB: reserve space at slot,
-// run the task under the child anchor, release and admit.
-func (c *Ctx) inlineAnchored(slot *cacheSlot, t Task) bool {
-	e := c.s.eng
-	if !e.startsNow(slot, t.Space) || e.leastLoadedCore(slot.cache) != c.core {
-		return false
-	}
-	c.st.charge(1)
-	slot.used += t.Space
-	slot.anchd++
-	slot.placed++
-	e.live++
-	e.load[c.core]++
-	if e.fail != nil {
-		c.st.inline = append(c.st.inline, inlineFrame{slot: slot, space: t.Space})
-	}
-	e.emit(EvAnchor, c.core, slot.cache.Level, slot.cache.Index, t.Space)
-	cc := &Ctx{s: c.s, core: c.core, anchor: slot.cache, st: c.st}
-	t.Fn(cc)
-	if e.fail != nil {
-		c.st.inline = c.st.inline[:len(c.st.inline)-1]
-	}
-	e.emit(EvDone, c.core, 0, 0, 0)
-	e.live--
-	e.load[c.core]--
-	slot.used -= t.Space
-	slot.anchd--
-	e.admit(slot)
-	c.inlineRejoin()
-	return true
-}
-
-// inlineRejoin restores the seed's post-join order: if the inline child's
-// completion made anything runnable on this core (admitted tasks), the seed
-// engine would run it before re-granting the joining parent, so the parent
-// yields to the back of the queue.
-func (c *Ctx) inlineRejoin() {
-	if !c.s.eng.runq[c.core].empty() {
-		c.st.suspend(yRequeue)
-	}
-}
-
 // PlacedAt returns how many tasks have been anchored at the given cache
 // level so far (CGC chunk strands are anchored at level 1 without a
 // reservation and are not counted).  Used by the scheduler tests and the
@@ -1088,9 +975,9 @@ func (s *Session) Steals() int64 {
 	return s.eng.steals
 }
 
-// withReference disables the engine fast paths — batched solo grants,
-// inline leaf spawns, and the active-core scan — so that the schedule is
-// the seed engine's, decision for decision.  Pooling stays on (it cannot
+// withReference disables the engine fast paths — batched solo grants and
+// the active-core scan — so that the schedule is the seed engine's,
+// decision for decision.  Pooling stays on (it cannot
 // affect the schedule).  Used by the equivalence tests to prove the fast
 // path honours the determinism contract on arbitrary workloads.
 func withReference() Opt {

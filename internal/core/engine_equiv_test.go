@@ -1,16 +1,17 @@
 package core
 
 // Equivalence tests for the engine fast path.  Each workload runs twice on
-// identical machines: once on the fast engine (batched solo grants, inline
-// leaf spawns, active-core scan) and once with withReference(), which takes
-// the seed engine's schedule decision for decision.  The determinism
+// identical machines: once on the fast engine (batched solo grants,
+// active-core scan) and once with withReference(), which takes the seed
+// engine's schedule decision for decision.  The determinism
 // contract requires the two runs to agree on every observable: virtual
 // Steps, the full per-cache traffic snapshot, PlacedAt, Steals, and the
 // entire heap contents.
 //
 // The workloads are chosen to drive the paths the algorithm goldens cannot
 // reach — in particular single-task SpawnSB (no shipped algorithm forks a
-// lone SB task), which exercises inlineSB / inlineAnchored / inlineRejoin.
+// lone SB task), whose child strand often runs alone on the parent's core
+// and so takes the batched solo grants.
 
 import (
 	"errors"
@@ -83,7 +84,7 @@ func equivMachines() map[string]hm.Config {
 	}
 }
 
-// TestEquivSingleTaskSpawnSB drives the inline leaf-spawn path: a chain of
+// TestEquivSingleTaskSpawnSB drives lone SB children: a chain of
 // single-task SB forks at descending space bounds, each child touching
 // memory before and after forking so the parent/child interleaving is
 // observable through the caches.
@@ -180,8 +181,8 @@ func TestEquivCGCSBFanouts(t *testing.T) {
 }
 
 // TestEquivStealing: an unbalanced fork pattern under WithStealing — the
-// fast path must keep the same steal victims and counts (inline spawns are
-// disabled under stealing precisely to preserve them).
+// fast path must keep the same steal victims and counts (a batched grant
+// runs only while nothing else is queued, so there is nothing to steal).
 func TestEquivStealing(t *testing.T) {
 	cfg := hm.HM4(4, 4)
 	checkEquiv(t, "hm4", cfg, 1<<16, []Opt{WithStealing()}, func(s *Session) func(*Ctx) {
@@ -278,10 +279,10 @@ func TestEquivDeepSerial(t *testing.T) {
 	}
 }
 
-// TestEquivInlineChildForks: a single-task SB child (inline candidate) that
-// itself forks nested subtasks round-robin over its anchor's cores — some
-// land on the parent's own run queue while the child is mid-flight, so the
-// child's completion must requeue the parent behind them (inlineRejoin).
+// TestEquivInlineChildForks: a single-task SB child that itself forks nested
+// subtasks round-robin over its anchor's cores — some land on the parent's
+// own core while the child is mid-flight, so the parent's wake-up must queue
+// behind them exactly as in the reference schedule.
 func TestEquivInlineChildForks(t *testing.T) {
 	for _, mname := range []string{"mc3", "hm4", "hm5"} {
 		cfg := equivMachines()[mname]
@@ -310,8 +311,8 @@ func TestEquivInlineChildForks(t *testing.T) {
 // TestEquivInlineUnderLoad: every core first gets a nested task, then each
 // task forks a lone SB child.  With the siblings loading the other cores,
 // the least-loaded placement lands some children on their parent's own core
-// — the configuration where inlineSB actually fires — while others fall
-// back to the queued path; both must match the reference schedule.
+// while others go to a sibling's core; both must match the reference
+// schedule.
 func TestEquivInlineUnderLoad(t *testing.T) {
 	for _, mname := range []string{"mc3", "hm4", "hm5"} {
 		cfg := equivMachines()[mname]

@@ -328,10 +328,9 @@ type killedStrand struct{}
 // killStrand kills an in-flight strand of a dead core and re-executes its
 // work: the strand coroutine is resumed once with the poison grant, which
 // unwinds it to its final yield (one ordinary resume/yield turn, so the
-// protocol invariants hold), its engine accounting — including inline-spawn
-// frames open on its stack — is rolled back, and a replacement strand
-// running the same recorded closure is enqueued on a surviving core with the
-// dead strand's join and reservation.
+// protocol invariants hold), its engine accounting is rolled back, and a
+// replacement strand running the same recorded closure is enqueued on a
+// surviving core with the dead strand's join and reservation.
 func (e *engine) killStrand(st *strand) {
 	f := e.fail
 	if st.blockIdx >= 0 {
@@ -348,7 +347,7 @@ func (e *engine) killStrand(st *strand) {
 	reserved, resSpace := st.reserved, st.resSpace
 
 	// Unwind the coroutine.  The strand is suspended in suspend (from
-	// chargeSlow, waitJoin or inlineRejoin); the poison makes it panic with
+	// chargeSlow or waitJoin); the poison makes it panic with
 	// killedStrand, which unwinds the task function and surfaces as a yDone
 	// through the pooled worker loop's recover.
 	st.grant = 0
@@ -360,21 +359,6 @@ func (e *engine) killStrand(st *strand) {
 	if msg.kind != yDone {
 		panic(fmt.Sprintf("core: poisoned strand yielded %d, want yDone", msg.kind))
 	}
-
-	// Roll back inline-spawn frames the panic skipped over: each open frame
-	// had incremented live/load for its inline child, and anchored frames
-	// hold a space reservation to release (innermost first).
-	for i := len(st.inline) - 1; i >= 0; i-- {
-		fr := st.inline[i]
-		e.live--
-		e.load[st.core]--
-		if fr.slot != nil {
-			fr.slot.used -= fr.space
-			fr.slot.anchd--
-			e.admit(fr.slot)
-		}
-	}
-	st.inline = st.inline[:0]
 
 	st.done = true
 	e.live--

@@ -43,9 +43,6 @@ type Session struct {
 	nfail any        // first panic recovered from a native worker goroutine
 }
 
-// nm returns the native memory, which exists only in native sessions.
-func (s *Session) nm() *nativeMem { return s.nmem }
-
 // Opt configures a session.
 type Opt func(*Session)
 
